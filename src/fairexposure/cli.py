@@ -188,8 +188,8 @@ def _decomposition_from_json(payload: dict, what: str) -> BvnDecomposition:
 
 
 def _print_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # serialize first, so a value JSON cannot hold leaves no partial output
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _symmetric(ratio: Optional[float]) -> Optional[float]:
@@ -272,7 +272,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if status != "optimal":
         raise ValueError(f"solution status is {status!r}; nothing to decompose")
     matrix = _matrix_from_json(payload, "solution")
-    decomposition = decompose(matrix, tol=args.tolerance)
+    try:
+        decomposition = decompose(matrix, tol=args.tolerance)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     _print_json(
         {
             "n": decomposition.n,
@@ -406,7 +410,8 @@ def _build_parser() -> _Parser:
         "--tolerance",
         type=float,
         default=1e-7,
-        help="entries below this are treated as structural zeros (default 1e-7)",
+        help="matching tolerance: entries below it times the remaining row mass "
+        "are structural zeros (default 1e-7)",
     )
     dec_p.set_defaults(handler=_cmd_decompose)
 

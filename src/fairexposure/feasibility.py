@@ -62,7 +62,10 @@ class FeasibilityVerdict:
         if self.required_ratio is not None:
             out["required_ratio"] = self.required_ratio
         if self.attainable_range is not None:
-            out["attainable_range"] = list(self.attainable_range)
+            # JSON has no infinity: an unbounded end is written as null
+            out["attainable_range"] = [
+                x if np.isfinite(x) else None for x in self.attainable_range
+            ]
         if self.note:
             out["note"] = self.note
         return out

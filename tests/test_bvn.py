@@ -157,6 +157,24 @@ class TestDecompose:
         assert result.terms[0].theta == pytest.approx(1 - eps, abs=1e-12)
         assert result.residual <= 1e-7
 
+    def test_sub_tolerance_remainder_still_decomposes(self):
+        # after the identity term, 2e-7 per row remains spread over entries
+        # of 6.7e-8 each, all below the 1e-7 tolerance
+        eye = np.eye(6)
+        spread = np.mean([np.roll(eye, j, axis=1) for j in (1, 2, 3)], axis=0)
+        P = (1 - 2e-7) * eye + 2e-7 * spread
+        result = decompose(P)
+        assert len(result.terms) == 3
+        assert result.residual == pytest.approx(2e-7 / 3, rel=1e-6)
+        np.testing.assert_allclose(reconstruct(result), P, atol=1e-7)
+
+    def test_large_n_has_no_recursion_limit(self):
+        n = 1100
+        shift = np.roll(np.eye(n), 1, axis=0)
+        result = decompose(0.5 * np.eye(n) + 0.5 * shift)
+        assert len(result.terms) == 2
+        np.testing.assert_allclose(result.thetas, 0.5, atol=1e-12)
+
     def test_rejects_non_stochastic_input(self):
         bad = np.full((3, 3), 1.0 / 3)
         bad[0] *= 0.9  # row sum 0.9

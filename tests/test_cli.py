@@ -202,6 +202,19 @@ class TestDecompose:
         assert code == 1
         assert "not valid JSON" in err
 
+    def test_decomposition_failure_exits_3(self, run, jobseeker_file, monkeypatch):
+        solution = solve_json(run, jobseeker_file)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("no perfect matching on entries above 1e-07")
+
+        monkeypatch.setattr("fairexposure.cli.decompose", fail)
+        code, out, err = run(["decompose"], stdin_text=json.dumps(solution))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: no perfect matching")
+        assert "Traceback" not in err
+
 
 @pytest.fixture
 def parity_decomposition(run, jobseeker_file):
@@ -385,6 +398,34 @@ class TestFeasibility:
         )
         assert code == 1
         assert "group pair" in err
+
+    def test_unbounded_range_is_strict_json(self, run, tmp_path):
+        # dcg@2 over four items gives the bottom two ranks no exposure, so
+        # the exposure ratio of two 2-item groups has no upper bound
+        path = tmp_path / "four.csv"
+        path.write_text(
+            "id,group,utility\na1,A,0.9\na2,A,0.8\nb1,B,0.5\nb2,B,0.4\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(
+            [
+                "feasibility",
+                str(path),
+                "--notion",
+                "disparate-treatment",
+                "--groups",
+                "A,B",
+                "--bias",
+                "dcg:e:2",
+            ]
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["attainable_range"] == [0.0, None]
 
 
 class TestSimulate:
