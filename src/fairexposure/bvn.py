@@ -5,6 +5,8 @@ combination of permutation matrices, and at most (N-1)^2 + 1 of them are
 needed.  ``decompose`` extracts terms greedily: find a perfect matching
 (scipy's compiled Hopcroft-Karp) on the entries still above tolerance,
 peel off the minimum matched entry as the term weight, and repeat.
+Every matrix within ``core.TOLERANCE`` of doubly stochastic decomposes;
+what extraction leaves behind is reported as the residual.
 Greedy extraction alone can exceed the term bound on dense matrices, so
 a reduction pass then merges affinely dependent terms (doubly stochastic
 matrices form an affine space of dimension (N-1)^2, so any larger set of
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .core import MatrixLike, as_matrix, permutation_matrix, stochastic_violation
+from .core import TOLERANCE, MatrixLike, as_matrix, permutation_matrix, stochastic_violation
 
 __all__ = ["BvnTerm", "BvnDecomposition", "decompose", "reconstruct", "term_bound"]
 
@@ -64,8 +66,9 @@ class BvnTerm:
 class BvnDecomposition:
     """Convex combination of permutation matrices.
 
-    ``residual`` is the per-row mass the extraction left behind (certified
-    below the matching tolerance).
+    ``residual`` is the largest row or column mass the extraction left
+    behind.  The weights plus the residual make up that line's original
+    mass, so they must sum to 1 within ``TOLERANCE``.
     """
 
     terms: tuple[BvnTerm, ...]
@@ -84,11 +87,14 @@ class BvnDecomposition:
         keys = {tuple(t.ranking.tolist()) for t in self.terms}
         if len(keys) != len(self.terms):
             raise ValueError("the same permutation appears in more than one term")
-        total = float(sum(t.theta for t in self.terms))
-        if not 1.0 - 1e-6 <= total <= 1.0 + 1e-6:
-            raise ValueError(f"term weights sum to {total}, expected 1 within 1e-6")
         if self.residual < 0.0:
             raise ValueError(f"residual must be non-negative, got {self.residual}")
+        total = float(sum(t.theta for t in self.terms))
+        if abs(total + self.residual - 1.0) > TOLERANCE:
+            raise ValueError(
+                f"term weights sum to {total} with residual {self.residual}; "
+                f"expected 1 within {TOLERANCE:g}"
+            )
         object.__setattr__(self, "terms", tuple(self.terms))
 
     @property
@@ -173,41 +179,46 @@ def _eliminate_dependent_term(
 def decompose(P: MatrixLike, tol: float = DEFAULT_MATCHING_TOLERANCE) -> BvnDecomposition:
     """Decompose ``P`` into a convex combination of permutation matrices.
 
-    Entries at or below ``tol`` times the current row mass are treated as
-    structural zeros when building the matching graph; extraction stops
-    once every row's remaining mass is below ``tol``.  Terms come back
-    sorted by weight descending (ties broken by ranking,
-    lexicographically).
+    ``P`` must be doubly stochastic within ``TOLERANCE``; every such
+    matrix decomposes.  ``tol`` sets only how precisely terms are
+    extracted: entries at or below ``tol`` times the largest remaining
+    line mass are structural zeros of the matching graph, and extraction
+    stops once some row or column keeps less than ``tol``, or once no
+    perfect matching is left.  Terms come back sorted by weight
+    descending (ties broken by ranking, lexicographically).
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     m = as_matrix(P).astype(float, copy=True)
     n = m.shape[0]
     violation = stochastic_violation(m)
-    if violation > tol:
+    if violation > TOLERANCE:
         raise ValueError(
-            f"matrix is not doubly stochastic within {tol:g} "
+            f"matrix is not doubly stochastic within {TOLERANCE:g} "
             f"(worst deviation {violation:.3e})"
         )
 
     cols = np.arange(n)
     weights: dict[tuple[int, ...], float] = {}
-    remaining = float(m.sum(axis=1).max())
-    while remaining >= tol:
-        # Entries at most tol * remaining hold at most n^2 * tol * remaining
-        # in total, less than one row's mass while n^2 * tol < 1, so dropping
-        # them keeps Hall's condition; a fixed cut at tol would not.
-        row_of_col = _perfect_matching(m > tol * remaining)
+    lines = np.concatenate((m.sum(axis=1), m.sum(axis=0)))
+    # each term takes theta from every row and every column at once
+    smallest, largest = float(lines.min()), float(lines.max())
+    while smallest >= tol:
+        # Entries at most tol * largest hold at most n^2 * tol * largest in
+        # total, less than one line's mass while n^2 * tol < 1, so on an
+        # exactly doubly stochastic input dropping them keeps Hall's
+        # condition.  An input off by up to TOLERANCE may run out of
+        # matchings first; what is left then shows in the residual.
+        row_of_col = _perfect_matching(m > tol * largest)
         if row_of_col is None:
-            raise RuntimeError(
-                f"no perfect matching on entries above {tol * remaining:.3g} while "
-                f"{remaining:.3e} mass remains per row; "
-                "the input was not doubly stochastic within tolerance"
-            )
+            break
         theta = min(float(m[row_of_col, cols].min()), 1.0)
         m[row_of_col, cols] -= theta
         key = tuple(int(i) for i in row_of_col)
         weights[key] = weights.get(key, 0.0) + theta
-        remaining = float(m.sum(axis=1).max())
-    residual = max(remaining, 0.0)
+        smallest -= theta
+        largest -= theta
+    residual = max(float(m.sum(axis=1).max()), float(m.sum(axis=0).max()), 0.0)
 
     thetas = np.array(list(weights.values()))
     rankings = [np.array(key, dtype=int) for key in weights]

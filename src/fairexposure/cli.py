@@ -25,9 +25,9 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .bvn import BvnDecomposition, BvnTerm, decompose
+from .bvn import DEFAULT_MATCHING_TOLERANCE, BvnDecomposition, BvnTerm, decompose
 from .constraints import NOTIONS, FairnessConstraint, multi_group_constraints
-from .core import Item, PositionBias, RankingProblem
+from .core import TOLERANCE, Item, PositionBias, RankingProblem
 from .datasets import read_items_csv
 from .feasibility import check_feasibility
 from .lp import NumericalFailure, build_lp, dump_lp, solve
@@ -256,7 +256,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     "label": c.label,
                     "value": c.value(entries),
                     "residual": c.residual(entries),
-                    "satisfied": bool(c.residual(entries) <= 1e-6),
+                    "satisfied": bool(c.residual(entries) <= TOLERANCE),
                 }
                 for c in constraints
             ],
@@ -294,7 +294,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _item_ids(payload: dict, n: int) -> list[str]:
     problem_payload = payload.get("problem")
     if isinstance(problem_payload, dict) and "items" in problem_payload:
-        ids = [row["id"] for row in problem_payload["items"]]
+        try:
+            ids = [str(row["id"]) for row in problem_payload["items"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"decomposition is missing item ids ({exc})") from None
         if len(ids) == n:
             return ids
     return [str(i) for i in range(n)]
@@ -409,9 +412,9 @@ def _build_parser() -> _Parser:
     dec_p.add_argument(
         "--tolerance",
         type=float,
-        default=1e-7,
-        help="matching tolerance: entries below it times the remaining row mass "
-        "are structural zeros (default 1e-7)",
+        default=DEFAULT_MATCHING_TOLERANCE,
+        help="extraction precision: entries below it times the remaining line mass "
+        f"are structural zeros (default {DEFAULT_MATCHING_TOLERANCE:g})",
     )
     dec_p.set_defaults(handler=_cmd_decompose)
 

@@ -123,15 +123,8 @@ def disparate_treatment(
     target is undefined.
     """
     idx_a, idx_b = _membership(problem, group_a, group_b)
-    u = problem.utilities
-    mean_a = float(u[idx_a].mean())
-    mean_b = float(u[idx_b].mean())
-    for label, mean in ((group_a, mean_a), (group_b, mean_b)):
-        if mean <= 0.0:
-            raise ValueError(
-                f"group {label!r} has zero mean utility; "
-                "exposure proportional to utility is undefined"
-            )
+    mean_a = problem.positive_mean_utility(group_a, "exposure proportional to utility")
+    mean_b = problem.positive_mean_utility(group_b, "exposure proportional to utility")
     f = np.zeros(problem.n)
     f[idx_a] = 1.0 / (idx_a.size * mean_a)
     f[idx_b] = -1.0 / (idx_b.size * mean_b)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,8 +36,10 @@ __all__ = [
     "stochastic_violation",
 ]
 
-#: Default certification tolerance for doubly stochastic matrices.
-DEFAULT_TOLERANCE = 1e-6
+#: How close to doubly stochastic is close enough, for every layer: the
+#: matrix type, the LP certificate, decomposition input and weights, the
+#: cost-of-fairness floor and the CLI's ``satisfied`` flag.
+TOLERANCE = 1e-6
 
 _LOG_BASES = {"natural": math.e, "e": math.e, "2": 2.0, 2: 2.0, 2.0: 2.0}
 
@@ -183,6 +185,25 @@ class RankingProblem:
             raise ValueError(f"group {group!r} has no items")
         return idx
 
+    def positive_mean_utility(self, group: str, quantity: str) -> float:
+        """Mean utility of ``group``, for a ``quantity`` that divides by it.
+
+        Raises when the mean is zero, since ``quantity`` is then undefined.
+        """
+        mean = float(self.utilities[self.group_indices(group)].mean())
+        if mean <= 0.0:
+            raise ValueError(f"{quantity} is undefined: group {group!r} has zero mean utility")
+        return mean
+
+    def group_pair_or_default(
+        self, group_pair: Optional[tuple[str, str]]
+    ) -> Optional[tuple[str, str]]:
+        """``group_pair``, else the two groups when there are exactly two."""
+        labels = self.group_labels
+        if group_pair is None and len(labels) == 2:
+            return labels[0], labels[1]
+        return group_pair
+
 
 def stochastic_violation(matrix: np.ndarray) -> float:
     """Largest deviation of ``matrix`` from the doubly stochastic conditions.
@@ -203,17 +224,16 @@ def stochastic_violation(matrix: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DoublyStochasticMatrix:
-    """An N x N marginal rank-probability matrix, certified at a tolerance."""
+    """An N x N marginal rank-probability matrix, certified within TOLERANCE."""
 
     entries: np.ndarray
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=float)
         violation = stochastic_violation(m)
-        if violation > self.tolerance:
+        if violation > TOLERANCE:
             raise ValueError(
-                f"matrix is not doubly stochastic within {self.tolerance:g} "
+                f"matrix is not doubly stochastic within {TOLERANCE:g} "
                 f"(max violation {violation:.3e})"
             )
         m = m.copy()
@@ -230,11 +250,11 @@ class DoublyStochasticMatrix:
     @classmethod
     def from_ranking(cls, ranking: Sequence[int]) -> "DoublyStochasticMatrix":
         """The deterministic matrix placing ``ranking[j]`` at rank ``j``."""
-        return cls(permutation_matrix(ranking), tolerance=0.0)
+        return cls(permutation_matrix(ranking))
 
     @classmethod
     def uniform(cls, n: int) -> "DoublyStochasticMatrix":
-        return cls(np.full((n, n), 1.0 / n), tolerance=DEFAULT_TOLERANCE)
+        return cls(np.full((n, n), 1.0 / n))
 
 
 MatrixLike = Union[np.ndarray, DoublyStochasticMatrix]

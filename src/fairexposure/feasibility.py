@@ -110,14 +110,8 @@ def check_dt_feasibility(
     """Closed-form feasibility of exposure proportional to mean utility."""
     idx0 = problem.group_indices(g0)
     idx1 = problem.group_indices(g1)
-    mean0 = float(problem.utilities[idx0].mean())
-    mean1 = float(problem.utilities[idx1].mean())
-    for label, mean in ((g0, mean0), (g1, mean1)):
-        if mean <= 0.0:
-            raise ValueError(
-                f"group {label!r} has zero mean utility; "
-                "exposure proportional to utility is undefined"
-            )
+    mean0 = problem.positive_mean_utility(g0, "exposure proportional to utility")
+    mean1 = problem.positive_mean_utility(g1, "exposure proportional to utility")
     required = mean0 / mean1
     lo, hi = dt_exposure_ratio_range(int(idx0.size), int(idx1.size), problem.bias)
     feasible = lo - 1e-9 <= required <= hi + 1e-9

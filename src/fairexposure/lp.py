@@ -13,7 +13,8 @@ Variables are flattened row-major (``variable k = i * n + j``).  The 2N
 stochasticity rows have rank 2N - 1; all 2N are kept and the solver is
 expected to tolerate the redundancy.  Solutions are certified after the
 fact: entries are clamped to [0, 1] only within 1e-9 of the bounds,
-never renormalized, and the solve fails if any residual exceeds 1e-6.
+never renormalized, and the solve fails if any residual exceeds the
+shared tolerance ``core.TOLERANCE``, the same one every layer accepts.
 
 Matrices are dense, so problems are practical up to roughly N = 300.
 """
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import DoublyStochasticMatrix, RankingProblem, stochastic_violation
+from .core import TOLERANCE, DoublyStochasticMatrix, RankingProblem, stochastic_violation
 from .constraints import FairnessConstraint
 
 __all__ = [
@@ -40,8 +41,6 @@ __all__ = [
     "solve_problem",
     "dump_lp",
 ]
-
-RESIDUAL_TOLERANCE = 1e-6
 
 # entries this close to the [0, 1] bounds are snapped onto them
 CLAMP_SLACK = 1e-9
@@ -203,12 +202,12 @@ def _clamp(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(lp: LinearProgram, residual_tolerance: float = RESIDUAL_TOLERANCE) -> SolveReport:
+def solve(lp: LinearProgram) -> SolveReport:
     """Solve ``lp`` to optimality and certify the solution.
 
     Raises :class:`NumericalFailure` when the solver gives up or when a
-    claimed optimum violates some constraint by more than
-    ``residual_tolerance`` after clamping.
+    claimed optimum violates some constraint by more than ``TOLERANCE``
+    after clamping.
     """
     n = lp.n
     has_ub = lp.ub_matrix.shape[0] > 0
@@ -242,24 +241,22 @@ def solve(lp: LinearProgram, residual_tolerance: float = RESIDUAL_TOLERANCE) -> 
     if has_ub:
         residuals.append(float(np.max(np.maximum(lp.ub_matrix @ x - lp.ub_rhs, 0.0))))
     worst = max(residuals)
-    if worst > residual_tolerance:
+    if worst > TOLERANCE:
         raise NumericalFailure(
             f"claimed optimum violates constraints by {worst:.3e} "
-            f"(tolerance {residual_tolerance:.0e})"
+            f"(tolerance {TOLERANCE:.0e})"
         )
 
-    matrix = DoublyStochasticMatrix(entries=entries, tolerance=residual_tolerance)
+    matrix = DoublyStochasticMatrix(entries=entries)
     objective = float(lp.objective @ x)
     return SolveReport("optimal", matrix, objective, worst, iterations, labels)
 
 
 def solve_problem(
-    problem: RankingProblem,
-    constraints: Sequence[FairnessConstraint] = (),
-    residual_tolerance: float = RESIDUAL_TOLERANCE,
+    problem: RankingProblem, constraints: Sequence[FairnessConstraint] = ()
 ) -> SolveReport:
     """Build and solve the LP for ``problem`` in one call."""
-    return solve(build_lp(problem, constraints), residual_tolerance)
+    return solve(build_lp(problem, constraints))
 
 
 def _coef(value: float) -> str:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MatrixLike, RankingProblem, as_matrix, group_exposure, utility
+from .core import TOLERANCE, MatrixLike, RankingProblem, as_matrix, group_exposure, utility
 
 __all__ = [
     "GroupMetrics",
@@ -66,7 +66,7 @@ class MetricsReport:
             value = getattr(self, name)
             if value is not None and value <= 0.0:
                 raise ValueError(f"{name} must be positive when defined, got {value}")
-        if self.cof is not None and self.cof < -1e-6:
+        if self.cof is not None and self.cof < -TOLERANCE:
             raise ValueError(
                 f"cost of fairness {self.cof} is negative beyond tolerance; "
                 "the reference matrix is not the unconstrained optimum"
@@ -114,25 +114,12 @@ def group_ctr(P: MatrixLike, problem: RankingProblem, group: str) -> float:
     return float(np.mean(problem.utilities[idx] * exposures))
 
 
-def _mean_utilities_or_raise(
-    problem: RankingProblem, g0: str, g1: str, metric: str
-) -> tuple[float, float]:
-    means = []
-    for label in (g0, g1):
-        mean = float(problem.utilities[problem.group_indices(label)].mean())
-        if mean == 0.0:
-            raise ValueError(
-                f"{metric} is undefined: group {label!r} has zero mean utility"
-            )
-        means.append(mean)
-    return means[0], means[1]
-
-
 def disparate_treatment_ratio(
     P: MatrixLike, problem: RankingProblem, g0: str, g1: str
 ) -> float:
     """Exposure-per-utility ratio of ``g0`` relative to ``g1``; 1 is fair."""
-    mean0, mean1 = _mean_utilities_or_raise(problem, g0, g1, "disparate treatment ratio")
+    mean0 = problem.positive_mean_utility(g0, "disparate treatment ratio")
+    mean1 = problem.positive_mean_utility(g1, "disparate treatment ratio")
     m = as_matrix(P)
     v = problem.bias
     e0 = group_exposure(m, v, problem.group_indices(g0))
@@ -148,7 +135,8 @@ def disparate_impact_ratio(
     P: MatrixLike, problem: RankingProblem, g0: str, g1: str
 ) -> float:
     """Clickthrough-per-utility ratio of ``g0`` relative to ``g1``; 1 is fair."""
-    mean0, mean1 = _mean_utilities_or_raise(problem, g0, g1, "disparate impact ratio")
+    mean0 = problem.positive_mean_utility(g0, "disparate impact ratio")
+    mean1 = problem.positive_mean_utility(g1, "disparate impact ratio")
     ctr0 = group_ctr(P, problem, g0)
     ctr1 = group_ctr(P, problem, g1)
     if ctr1 == 0.0:
@@ -179,11 +167,9 @@ def evaluate(
     cost-of-fairness entry and must be the unconstrained optimum.
     """
     m = as_matrix(P)
-    labels = problem.group_labels
-    if group_pair is None and len(labels) == 2:
-        group_pair = (labels[0], labels[1])
+    group_pair = problem.group_pair_or_default(group_pair)
     groups = []
-    for label in labels:
+    for label in problem.group_labels:
         idx = problem.group_indices(label)
         groups.append(
             GroupMetrics(

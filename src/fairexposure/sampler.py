@@ -56,7 +56,8 @@ def user_fraction(key: Union[str, bytes]) -> float:
     return hash_user_key(key) / 2.0**64
 
 
-def _cumulative(decomposition: BvnDecomposition) -> np.ndarray:
+def cumulative_weights(decomposition: BvnDecomposition) -> np.ndarray:
+    """Normalized running sum of the term weights, ending at exactly 1."""
     thetas = decomposition.thetas
     cum = np.cumsum(thetas / thetas.sum())
     cum[-1] = 1.0  # guard against accumulated rounding at the top end
@@ -71,13 +72,13 @@ def term_index_for_fraction(decomposition: BvnDecomposition, t: float) -> int:
     """
     if not 0.0 <= t < 1.0:
         raise ValueError(f"fraction must lie in [0, 1), got {t}")
-    return int(np.searchsorted(_cumulative(decomposition), t, side="left"))
+    return int(np.searchsorted(cumulative_weights(decomposition), t, side="left"))
 
 
 def sample_index(decomposition: BvnDecomposition, rng: RngLike = None) -> int:
     """Draw one term index with probability proportional to its weight."""
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return term_index_for_fraction(decomposition, float(generator.random()))
+    t = float(np.random.default_rng(rng).random())
+    return term_index_for_fraction(decomposition, t)
 
 
 def sample_indices(
@@ -86,9 +87,8 @@ def sample_indices(
     """Draw ``count`` term indices from one stream (vectorized)."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    draws = generator.random(count)
-    return np.searchsorted(_cumulative(decomposition), draws, side="left")
+    draws = np.random.default_rng(rng).random(count)
+    return np.searchsorted(cumulative_weights(decomposition), draws, side="left")
 
 
 def sample(decomposition: BvnDecomposition, rng: RngLike = None) -> np.ndarray:

@@ -29,6 +29,7 @@ from numpy.random import Generator, Philox
 
 from .bvn import BvnDecomposition
 from .core import RankingProblem
+from .sampler import cumulative_weights
 
 __all__ = ["GroupSimulation", "SimulationReport", "simulate"]
 
@@ -104,40 +105,44 @@ class SimulationReport:
         return out
 
 
-class _PairAccumulator:
-    """Running sums for two per-user group means and their cross term."""
+class _Moments:
+    """Running sums of a per-user value and of its square."""
 
     def __init__(self) -> None:
-        self.s0 = self.ss0 = 0.0
-        self.s1 = self.ss1 = 0.0
-        self.cross = 0.0
+        self.s = self.ss = 0.0
 
-    def add(self, x0: np.ndarray, x1: np.ndarray) -> None:
-        self.s0 += float(x0.sum())
-        self.ss0 += float((x0 * x0).sum())
-        self.s1 += float(x1.sum())
-        self.ss1 += float((x1 * x1).sum())
-        self.cross += float((x0 * x1).sum())
+    def add(self, x: np.ndarray) -> None:
+        self.s += float(x.sum())
+        self.ss += float((x * x).sum())
 
-    def ratio_with_se(
-        self, n: int, norm0: float, norm1: float
-    ) -> tuple[Optional[float], Optional[float]]:
-        """Delta-method estimate of (mean0/norm0)/(mean1/norm1)."""
-        if norm0 <= 0.0 or norm1 <= 0.0:
-            return None, None
-        m0 = self.s0 / n
-        m1 = self.s1 / n
-        if m1 == 0.0 or m0 == 0.0:
-            return None, None
-        ratio = (m0 / norm0) / (m1 / norm1)
-        if n < 2:
-            return ratio, None
-        var0 = max(self.ss0 / n - m0 * m0, 0.0) / n
-        var1 = max(self.ss1 / n - m1 * m1, 0.0) / n
-        cov = (self.cross / n - m0 * m1) / n
-        rel_var = var0 / m0**2 + var1 / m1**2 - 2.0 * cov / (m0 * m1)
-        se = abs(ratio) * float(np.sqrt(max(rel_var, 0.0)))
-        return ratio, se
+    def mean_and_se(self, n: int) -> tuple[float, float]:
+        mean = self.s / n
+        var = max(self.ss / n - mean**2, 0.0)
+        return mean, float(np.sqrt(var / n))
+
+
+def _ratio_with_se(
+    a: _Moments, b: _Moments, cross: float, n: int, norm0: float, norm1: float
+) -> tuple[Optional[float], Optional[float]]:
+    """Delta-method estimate of (mean_a/norm0)/(mean_b/norm1).
+
+    ``cross`` is the running sum of the per-user products of a and b.
+    """
+    if norm0 <= 0.0 or norm1 <= 0.0:
+        return None, None
+    m0 = a.s / n
+    m1 = b.s / n
+    if m1 == 0.0 or m0 == 0.0:
+        return None, None
+    ratio = (m0 / norm0) / (m1 / norm1)
+    if n < 2:
+        return ratio, None
+    var0 = max(a.ss / n - m0 * m0, 0.0) / n
+    var1 = max(b.ss / n - m1 * m1, 0.0) / n
+    cov = (cross / n - m0 * m1) / n
+    rel_var = var0 / m0**2 + var1 / m1**2 - 2.0 * cov / (m0 * m1)
+    se = abs(ratio) * float(np.sqrt(max(rel_var, 0.0)))
+    return ratio, se
 
 
 def simulate(
@@ -163,8 +168,7 @@ def simulate(
         raise ValueError(f"seed must be non-negative, got {seed}")
 
     labels = problem.group_labels
-    if group_pair is None and len(labels) == 2:
-        group_pair = (labels[0], labels[1])
+    group_pair = problem.group_pair_or_default(group_pair)
     if group_pair is not None:
         for label in group_pair:
             problem.group_indices(label)
@@ -175,9 +179,7 @@ def simulate(
     scale = 1.0 / vmax if vmax > 1.0 else 1.0
     v_prob = v * scale
 
-    thetas = decomposition.thetas
-    cum = np.cumsum(thetas / thetas.sum())
-    cum[-1] = 1.0
+    cum = cumulative_weights(decomposition)
     rankings = [t.ranking for t in decomposition.terms]
     inverses = []
     for ranking in rankings:
@@ -188,12 +190,9 @@ def simulate(
     group_idx = {label: problem.group_indices(label) for label in labels}
     exam_counts = np.zeros(n)
     click_counts = np.zeros(n)
-    group_sum = {label: 0.0 for label in labels}
-    group_sumsq = {label: 0.0 for label in labels}
-    click_sum = {label: 0.0 for label in labels}
-    click_sumsq = {label: 0.0 for label in labels}
-    exposure_pair = _PairAccumulator()
-    ctr_pair = _PairAccumulator()
+    exposure_moments = {label: _Moments() for label in labels}
+    click_moments = {label: _Moments() for label in labels}
+    exposure_cross = click_cross = 0.0
 
     draws_per_user = 2 * n + 1
     n_chunks = (n_users + _CHUNK - 1) // _CHUNK
@@ -222,14 +221,12 @@ def simulate(
                 y = clicked[:, inv[idx]].mean(axis=1)
                 per_group_x[label] = x
                 per_group_y[label] = y
-                group_sum[label] += float(x.sum())
-                group_sumsq[label] += float((x * x).sum())
-                click_sum[label] += float(y.sum())
-                click_sumsq[label] += float((y * y).sum())
+                exposure_moments[label].add(x)
+                click_moments[label].add(y)
             if group_pair is not None:
                 g0, g1 = group_pair
-                exposure_pair.add(per_group_x[g0], per_group_x[g1])
-                ctr_pair.add(per_group_y[g0], per_group_y[g1])
+                exposure_cross += float((per_group_x[g0] * per_group_x[g1]).sum())
+                click_cross += float((per_group_y[g0] * per_group_y[g1]).sum())
 
     item_exposure = exam_counts / n_users
     item_ctr = click_counts / n_users
@@ -237,27 +234,21 @@ def simulate(
 
     groups = []
     for label in labels:
-        mean_x = group_sum[label] / n_users
-        mean_y = click_sum[label] / n_users
-        var_x = max(group_sumsq[label] / n_users - mean_x**2, 0.0)
-        var_y = max(click_sumsq[label] / n_users - mean_y**2, 0.0)
-        groups.append(
-            GroupSimulation(
-                label=label,
-                exposure=mean_x,
-                exposure_se=float(np.sqrt(var_x / n_users)),
-                ctr=mean_y,
-                ctr_se=float(np.sqrt(var_y / n_users)),
-            )
-        )
+        exposure, exposure_se = exposure_moments[label].mean_and_se(n_users)
+        ctr, ctr_se = click_moments[label].mean_and_se(n_users)
+        groups.append(GroupSimulation(label, exposure, exposure_se, ctr, ctr_se))
 
     dtr_value = dtr_se = dir_value = dir_se = None
     if group_pair is not None:
         g0, g1 = group_pair
         norm0 = float(u[group_idx[g0]].mean())
         norm1 = float(u[group_idx[g1]].mean())
-        dtr_value, dtr_se = exposure_pair.ratio_with_se(n_users, norm0, norm1)
-        dir_value, dir_se = ctr_pair.ratio_with_se(n_users, norm0, norm1)
+        dtr_value, dtr_se = _ratio_with_se(
+            exposure_moments[g0], exposure_moments[g1], exposure_cross, n_users, norm0, norm1
+        )
+        dir_value, dir_se = _ratio_with_se(
+            click_moments[g0], click_moments[g1], click_cross, n_users, norm0, norm1
+        )
 
     return SimulationReport(
         n_users=n_users,

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairexposure.bvn import (
     BvnDecomposition,
@@ -16,7 +18,7 @@ from fairexposure.bvn import (
     term_bound,
 )
 from fairexposure.constraints import demographic_parity
-from fairexposure.core import permutation_matrix
+from fairexposure.core import TOLERANCE, DoublyStochasticMatrix, permutation_matrix
 from fairexposure.lp import solve_problem
 
 from .test_core import make_problem
@@ -175,6 +177,10 @@ class TestDecompose:
         assert len(result.terms) == 2
         np.testing.assert_allclose(result.thetas, 0.5, atol=1e-12)
 
+    def test_rejects_negative_tol(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            decompose(np.eye(3), tol=-1e-7)
+
     def test_rejects_non_stochastic_input(self):
         bad = np.full((3, 3), 1.0 / 3)
         bad[0] *= 0.9  # row sum 0.9
@@ -195,6 +201,49 @@ class TestDecompose:
     def test_uniform_replay(self):
         P = np.full((3, 3), 1.0 / 3)
         assert replay_orders(P, decompose(P))
+
+
+@st.composite
+def nearly_doubly_stochastic(draw) -> np.ndarray:
+    """A dense IPF matrix or a sparse mixture of permutations, off by at
+    most TOLERANCE: one entry moved, or every entry moved by up to
+    TOLERANCE / n; entries that were zero may turn negative."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        P = ipf_doubly_stochastic(n, rng)
+    else:
+        weights = rng.dirichlet(np.ones(draw(st.integers(1, n))))
+        P = sum(w * permutation_matrix(rng.permutation(n)) for w in weights)
+    size = draw(st.floats(-0.99, 0.99)) * TOLERANCE
+    if draw(st.booleans()):
+        i, j = rng.integers(n, size=2)
+        P[i, j] += size
+    else:
+        P += rng.uniform(-1.0, 1.0, size=(n, n)) * size / n
+    return P
+
+
+def assert_decomposes(P: np.ndarray) -> None:
+    DoublyStochasticMatrix(P)
+    result = decompose(P)
+    assert abs(float(result.thetas.sum()) + result.residual - 1.0) <= TOLERANCE
+    gap = float(np.abs(reconstruct(result) - P).max())
+    assert gap <= result.residual + TOLERANCE
+
+
+class TestToleranceContract:
+    """Every matrix the shared tolerance certifies decomposes."""
+
+    def test_entry_bump_within_tolerance(self):
+        P = np.full((4, 4), 0.25)
+        P[0, 0] += 5e-7
+        assert_decomposes(P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nearly_doubly_stochastic())
+    def test_perturbed_matrices_decompose(self, P):
+        assert_decomposes(P)
 
 
 class TestReconstruct:

@@ -286,6 +286,15 @@ class TestSample:
         code, _, _ = run(["sample"], stdin_text=parity_decomposition)
         assert code == 1
 
+    @pytest.mark.parametrize("row", [{"group": "M", "utility": 0.5}, "m1"])
+    def test_items_without_ids_is_usage_error(self, run, parity_decomposition, row):
+        payload = json.loads(parity_decomposition)
+        payload["problem"]["items"] = [row] * 6
+        code, out, err = run(["sample", "--count", "1"], stdin_text=json.dumps(payload))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestEvaluate:
     def test_prp_metrics(self, run, jobseeker_file):
