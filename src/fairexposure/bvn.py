@@ -27,7 +27,8 @@ from .core import TOLERANCE, MatrixLike, as_matrix, permutation_matrix, stochast
 
 __all__ = ["BvnTerm", "BvnDecomposition", "decompose", "reconstruct", "term_bound"]
 
-DEFAULT_MATCHING_TOLERANCE = 1e-7
+# extraction stops once some row or column keeps less than this mass
+_MATCHING_TOLERANCE = 1e-7
 
 # dependent-term weights below this are treated as eliminated
 _DROP_EPS = 1e-14
@@ -36,6 +37,17 @@ _DROP_EPS = 1e-14
 def term_bound(n: int) -> int:
     """Maximum number of terms any decomposition may need."""
     return (n - 1) ** 2 + 1
+
+
+def _residual_bound(n: int) -> float:
+    """Largest residual ``decompose`` leaves on a certified n x n input.
+
+    Terms take their weight from every line, so line masses keep their
+    initial spread of at most 2 * TOLERANCE.  With no perfect matching
+    left, at most n - 1 lines cover every entry above the cut (König); the
+    n + 1 others meet only below it, and every entry is >= -TOLERANCE.
+    """
+    return _MATCHING_TOLERANCE + 2 * (n + 1) ** 2 * TOLERANCE
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +80,8 @@ class BvnDecomposition:
 
     ``residual`` is the largest row or column mass the extraction left
     behind.  The weights plus the residual make up that line's original
-    mass, so they must sum to 1 within ``TOLERANCE``.
+    mass, so they must sum to 1 within ``TOLERANCE``, and the residual may
+    not exceed what ``decompose`` can leave on a certified input.
     """
 
     terms: tuple[BvnTerm, ...]
@@ -87,8 +100,9 @@ class BvnDecomposition:
         keys = {tuple(t.ranking.tolist()) for t in self.terms}
         if len(keys) != len(self.terms):
             raise ValueError("the same permutation appears in more than one term")
-        if self.residual < 0.0:
-            raise ValueError(f"residual must be non-negative, got {self.residual}")
+        bound = _residual_bound(n)
+        if not 0.0 <= self.residual <= bound:
+            raise ValueError(f"residual must lie in [0, {bound:.3g}], got {self.residual}")
         total = float(sum(t.theta for t in self.terms))
         if abs(total + self.residual - 1.0) > TOLERANCE:
             raise ValueError(
@@ -176,19 +190,14 @@ def _eliminate_dependent_term(
     return new_thetas[keep], [r for r, k in zip(rankings, keep) if k]
 
 
-def decompose(P: MatrixLike, tol: float = DEFAULT_MATCHING_TOLERANCE) -> BvnDecomposition:
+def decompose(P: MatrixLike) -> BvnDecomposition:
     """Decompose ``P`` into a convex combination of permutation matrices.
 
-    ``P`` must be doubly stochastic within ``TOLERANCE``; every such
-    matrix decomposes.  ``tol`` sets only how precisely terms are
-    extracted: entries at or below ``tol`` times the largest remaining
-    line mass are structural zeros of the matching graph, and extraction
-    stops once some row or column keeps less than ``tol``, or once no
-    perfect matching is left.  Terms come back sorted by weight
-    descending (ties broken by ranking, lexicographically).
+    Every matrix doubly stochastic within ``TOLERANCE`` decomposes; what
+    extraction leaves (under 1e-7 on an exact input) is the residual.
+    Terms come back sorted by weight descending (ties broken by ranking,
+    lexicographically).
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
     m = as_matrix(P).astype(float, copy=True)
     n = m.shape[0]
     violation = stochastic_violation(m)
@@ -200,25 +209,24 @@ def decompose(P: MatrixLike, tol: float = DEFAULT_MATCHING_TOLERANCE) -> BvnDeco
 
     cols = np.arange(n)
     weights: dict[tuple[int, ...], float] = {}
-    lines = np.concatenate((m.sum(axis=1), m.sum(axis=0)))
-    # each term takes theta from every row and every column at once
-    smallest, largest = float(lines.min()), float(lines.max())
-    while smallest >= tol:
-        # Entries at most tol * largest hold at most n^2 * tol * largest in
-        # total, less than one line's mass while n^2 * tol < 1, so on an
-        # exactly doubly stochastic input dropping them keeps Hall's
-        # condition.  An input off by up to TOLERANCE may run out of
-        # matchings first; what is left then shows in the residual.
-        row_of_col = _perfect_matching(m > tol * largest)
+    # n^2 * cut <= 1/2: the entries below the cut hold under half a line
+    cut = min(_MATCHING_TOLERANCE, 0.5 / n**2)
+    while True:
+        lines = np.concatenate((m.sum(axis=1), m.sum(axis=0)))
+        smallest, largest = float(lines.min()), float(lines.max())
+        if smallest < _MATCHING_TOLERANCE:
+            break
+        # Hall's condition survives the cut on an exact input; an input off
+        # by up to TOLERANCE may run out of matchings (see _residual_bound)
+        row_of_col = _perfect_matching(m > cut * largest)
         if row_of_col is None:
             break
-        theta = min(float(m[row_of_col, cols].min()), 1.0)
+        # with negative entries, matched entries can outweigh their lines
+        theta = min(float(m[row_of_col, cols].min()), smallest, 1.0)
         m[row_of_col, cols] -= theta
         key = tuple(int(i) for i in row_of_col)
         weights[key] = weights.get(key, 0.0) + theta
-        smallest -= theta
-        largest -= theta
-    residual = max(float(m.sum(axis=1).max()), float(m.sum(axis=0).max()), 0.0)
+    residual = max(largest, 0.0)
 
     thetas = np.array(list(weights.values()))
     rankings = [np.array(key, dtype=int) for key in weights]

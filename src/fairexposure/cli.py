@@ -25,7 +25,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .bvn import DEFAULT_MATCHING_TOLERANCE, BvnDecomposition, BvnTerm, decompose
+from .bvn import BvnDecomposition, BvnTerm, decompose
 from .constraints import NOTIONS, FairnessConstraint, multi_group_constraints
 from .core import TOLERANCE, Item, PositionBias, RankingProblem
 from .datasets import read_items_csv
@@ -273,7 +273,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         raise ValueError(f"solution status is {status!r}; nothing to decompose")
     matrix = _matrix_from_json(payload, "solution")
     try:
-        decomposition = decompose(matrix, tol=args.tolerance)
+        decomposition = decompose(matrix)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -409,13 +409,6 @@ def _build_parser() -> _Parser:
 
     dec_p = sub.add_parser("decompose", help="decompose a solution into rankings")
     dec_p.add_argument("solution", nargs="?", default="-", help="solution JSON ('-' = stdin)")
-    dec_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_MATCHING_TOLERANCE,
-        help="extraction precision: entries below it times the remaining line mass "
-        f"are structural zeros (default {DEFAULT_MATCHING_TOLERANCE:g})",
-    )
     dec_p.set_defaults(handler=_cmd_decompose)
 
     sample_p = sub.add_parser("sample", help="sample rankings from a decomposition")

@@ -209,11 +209,13 @@ def stochastic_violation(matrix: np.ndarray) -> float:
     """Largest deviation of ``matrix`` from the doubly stochastic conditions.
 
     Covers row sums, column sums, negativity, and entries above one; a true
-    doubly stochastic matrix scores exactly 0.
+    doubly stochastic matrix scores exactly 0, one with a NaN entry infinity.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        return math.inf
     return max(
         float(np.abs(m.sum(axis=1) - 1.0).max()),
         float(np.abs(m.sum(axis=0) - 1.0).max()),

@@ -286,6 +286,16 @@ class TestSample:
         code, _, _ = run(["sample"], stdin_text=parity_decomposition)
         assert code == 1
 
+    @pytest.mark.parametrize("residual", [float("nan"), 0.4])
+    def test_partial_lottery_rejected(self, run, parity_decomposition, residual):
+        payload = json.loads(parity_decomposition)
+        payload["terms"] = [{"theta": 0.6, "ranking": payload["terms"][0]["ranking"]}]
+        payload["residual"] = residual
+        code, out, err = run(["sample", "--count", "1"], stdin_text=json.dumps(payload))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("row", [{"group": "M", "utility": 0.5}, "m1"])
     def test_items_without_ids_is_usage_error(self, run, parity_decomposition, row):
         payload = json.loads(parity_decomposition)
