@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from fairexposure.constraints import (
     demographic_parity,
+    disparate_impact,
     disparate_treatment,
     multi_group_constraints,
 )
 from fairexposure.core import (
+    PositionBias,
+    RankingProblem,
     exposure,
     group_exposure,
     permutation_matrix,
     prp_ranking,
     utility,
 )
+from fairexposure.datasets import load_jobseeker, load_synthetic_news
 from fairexposure.lp import (
     build_lp,
     dump_lp,
@@ -30,6 +36,14 @@ from .test_core import make_problem
 
 PRP_UTILITY = 3.8192643340890475
 PARITY_ROW_COEFF = 0.4808983469629878  # (1/3) * v_1 under natural log
+
+# sha256 prefix of dump_lp(build_lp(...)) on the bundled fixtures
+DUMP_SHA256 = {
+    ("jobseeker", "parity"): "cd83b285ea758e36",
+    ("jobseeker", "impact"): "96eea25f85493753",
+    ("news", "parity"): "50b4b910fcfdef39",
+    ("news", "impact"): "a3d77b7c119b741b",
+}
 
 
 class TestIndexing:
@@ -215,3 +229,18 @@ class TestDump:
         assert sum(1 for line in lines if line.lstrip().startswith("row_sum")) == 6
         assert sum(1 for line in lines if line.lstrip().startswith("col_sum")) == 6
         assert sum(1 for line in lines if line.lstrip().startswith("fair_")) == 1
+
+    @pytest.mark.parametrize("fixture, notion", sorted(DUMP_SHA256))
+    def test_dump_bytes_pinned(self, fixture, notion):
+        loader, groups = {
+            "jobseeker": (load_jobseeker, ("M", "F")),
+            "news": (load_synthetic_news, ("A", "B")),
+        }[fixture]
+        build = {"parity": demographic_parity, "impact": disparate_impact}[notion]
+        items = loader()
+        problem = RankingProblem(
+            items=items, position_bias=PositionBias.log_discount(len(items))
+        )
+        text = dump_lp(build_lp(problem, [build(problem, *groups)]))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest[:16] == DUMP_SHA256[fixture, notion]
