@@ -19,6 +19,7 @@ term i with probability theta_i and show its ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -118,6 +119,15 @@ class BvnDecomposition:
     @property
     def thetas(self) -> np.ndarray:
         return np.array([t.theta for t in self.terms])
+
+    @cached_property
+    def cumulative_weights(self) -> np.ndarray:
+        """Normalized running sum of the term weights, ending at exactly 1."""
+        thetas = self.thetas
+        cum = np.cumsum(thetas / thetas.sum())
+        cum[-1] = 1.0  # guard against accumulated rounding at the top end
+        cum.flags.writeable = False
+        return cum
 
 
 def _perfect_matching(mask: np.ndarray) -> np.ndarray | None:
@@ -224,7 +234,7 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
         # with negative entries, matched entries can outweigh their lines
         theta = min(float(m[row_of_col, cols].min()), smallest, 1.0)
         m[row_of_col, cols] -= theta
-        key = tuple(int(i) for i in row_of_col)
+        key = tuple(row_of_col.tolist())
         weights[key] = weights.get(key, 0.0) + theta
     residual = max(largest, 0.0)
 

@@ -9,14 +9,18 @@ entries of the doubly stochastic matrix P:
                 f' P g = h   for each fairness constraint,
                 0 <= P[i, j] <= 1.
 
-Variables are flattened row-major (``variable k = i * n + j``).  The 2N
-stochasticity rows have rank 2N - 1; all 2N are kept and the solver is
-expected to tolerate the redundancy.  Solutions are certified after the
-fact: entries are clamped to [0, 1] only within 1e-9 of the bounds,
-never renormalized, and the solve fails if any residual exceeds the
+Variables are flattened row-major: variable k is entry ``divmod(k, n)``.
+Only the objective and the fairness constraints vary; the 2N row- and
+column-sum rows are implied by N, so ``solve`` builds them as one sparse
+block and stacks the dense rank-1 fairness rows below it.  Those 2N rows
+have rank 2N - 1; all are passed and HiGHS tolerates the redundancy.
+Solutions are certified after the fact: entries are clamped to [0, 1]
+only within 1e-9 of the bounds, never renormalized, and the solve fails
+if ``stochastic_violation`` or any constraint's ``residual`` exceeds the
 shared tolerance ``core.TOLERANCE``, the same one every layer accepts.
 
-Matrices are dense, so problems are practical up to roughly N = 300.
+Memory grows as N² per fairness row; HiGHS solve time, not assembly,
+limits practical problems to a few hundred items.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .core import TOLERANCE, DoublyStochasticMatrix, RankingProblem, stochastic_violation
@@ -34,8 +39,6 @@ __all__ = [
     "LinearProgram",
     "SolveReport",
     "NumericalFailure",
-    "flatten_index",
-    "unflatten_index",
     "build_lp",
     "solve",
     "solve_problem",
@@ -50,65 +53,18 @@ class NumericalFailure(RuntimeError):
     """The solver stopped without a certified optimum."""
 
 
-def flatten_index(i: int, j: int, n: int) -> int:
-    """Variable index of matrix entry (i, j) in the flattened LP."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
-    return i * n + j
-
-
-def unflatten_index(k: int, n: int) -> tuple[int, int]:
-    """Matrix entry (i, j) of flattened variable ``k``."""
-    if not 0 <= k < n * n:
-        raise ValueError(f"variable {k} outside 0..{n * n - 1}")
-    return divmod(k, n)
-
-
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Standard-form program over the flattened matrix entries.
+    """The varying part of the program over the n² row-major entries.
 
-    ``eq_matrix`` stacks the 2n stochasticity rows (n row sums, then n
-    column sums) followed by one row per equality fairness constraint;
-    ``ub_matrix`` holds inequality fairness rows oriented as <=.
+    ``objective`` holds the n² coefficients ``u[i] * v[j]``; ``constraints``
+    are the fairness rows in the order given.  The doubly stochastic rows
+    are implied by ``n``.
     """
 
     n: int
     objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    ub_matrix: np.ndarray
-    ub_rhs: np.ndarray
-    eq_labels: tuple[str, ...]
-    ub_labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if self.objective.shape != (n * n,):
-            raise ValueError(f"objective must have {n * n} coefficients")
-        if self.eq_matrix.shape != (2 * n + len(self.eq_labels), n * n):
-            raise ValueError("equality system shape does not match labels")
-        if self.eq_rhs.shape != (self.eq_matrix.shape[0],):
-            raise ValueError("equality right-hand side length mismatch")
-        if self.ub_matrix.shape != (len(self.ub_labels), n * n):
-            raise ValueError("inequality system shape does not match labels")
-        if self.ub_rhs.shape != (self.ub_matrix.shape[0],):
-            raise ValueError("inequality right-hand side length mismatch")
-        for name in ("objective", "eq_matrix", "eq_rhs", "ub_matrix", "ub_rhs"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
-
-    @property
-    def n_variables(self) -> int:
-        return self.n * self.n
-
-    @property
-    def n_stochasticity_rows(self) -> int:
-        return 2 * self.n
-
-    @property
-    def n_equality_rows(self) -> int:
-        return self.eq_matrix.shape[0]
+    constraints: tuple[FairnessConstraint, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +75,10 @@ class SolveReport:
     cannot occur for well-formed inputs since all variables are bounded;
     it is kept as a guard against solver misreports).  ``matrix`` and
     ``objective`` are set only when optimal.  ``max_violation`` is the
-    largest certified residual across stochasticity and fairness rows.
-    ``constraint_labels`` lists the fairness constraints that were in
-    force, which is the violated set when status is "infeasible".
+    certified residual ``max(stochastic_violation(P), c.residual(P) for c
+    in constraints)``.  ``constraint_labels`` lists the fairness
+    constraints in the order they were passed, which is the violated set
+    when status is "infeasible".
     """
 
     status: str
@@ -146,52 +103,36 @@ def build_lp(
     there and right-hand side h.
     """
     n = problem.n
-    u = problem.utilities
-    v = problem.bias
     for c in constraints:
         if c.n != n:
             raise ValueError(
                 f"constraint {c.label!r} has length {c.n}, problem has {n} items"
             )
+    objective = np.outer(problem.utilities, problem.bias).ravel()
+    objective.flags.writeable = False
+    return LinearProgram(n=n, objective=objective, constraints=tuple(constraints))
 
-    objective = np.outer(u, v).ravel()
 
-    stoch = np.zeros((2 * n, n * n))
-    for i in range(n):
-        stoch[i, i * n : (i + 1) * n] = 1.0  # row sum
-        stoch[n + i, i :: n] = 1.0  # column sum
+def _stochastic_rows(n: int) -> sparse.csr_array:
+    """The n row-sum rows, then the n column-sum rows, as one sparse block."""
+    ones, eye = np.ones((1, n)), sparse.eye_array(n)
+    return sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)], format="csr")
 
-    eq_rows = [stoch]
-    eq_rhs = [np.ones(2 * n)]
-    eq_labels: list[str] = []
-    ub_rows: list[np.ndarray] = []
-    ub_rhs: list[float] = []
-    ub_labels: list[str] = []
-    for c in constraints:
-        row = np.outer(c.f, c.g).ravel()
-        if c.relation == "equal":
-            eq_rows.append(row[None, :])
-            eq_rhs.append(np.array([c.h]))
-            eq_labels.append(c.label)
-        elif c.relation == "less-equal":
-            ub_rows.append(row)
-            ub_rhs.append(c.h)
-            ub_labels.append(c.label)
-        else:  # greater-equal, flipped to <=
-            ub_rows.append(-row)
-            ub_rhs.append(-c.h)
-            ub_labels.append(c.label)
 
-    return LinearProgram(
-        n=n,
-        objective=objective,
-        eq_matrix=np.vstack(eq_rows),
-        eq_rhs=np.concatenate(eq_rhs),
-        ub_matrix=np.array(ub_rows).reshape(len(ub_rows), n * n),
-        ub_rhs=np.array(ub_rhs, dtype=float),
-        eq_labels=tuple(eq_labels),
-        ub_labels=tuple(ub_labels),
-    )
+def _fairness_rows(
+    constraints: Sequence[FairnessConstraint], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rows ``outer(f, g)`` and right-hand sides, ``>=`` flipped to ``<=``."""
+    signs = [-1.0 if c.relation == "greater-equal" else 1.0 for c in constraints]
+    rows = [s * np.outer(c.f, c.g).ravel() for s, c in zip(signs, constraints)]
+    rhs = [s * c.h for s, c in zip(signs, constraints)]
+    return np.array(rows).reshape(len(rows), n * n), np.array(rhs, dtype=float)
+
+
+def _split(lp: LinearProgram) -> tuple[list[FairnessConstraint], list[FairnessConstraint]]:
+    """Equality constraints and inequality constraints, each in given order."""
+    equal = [c for c in lp.constraints if c.relation == "equal"]
+    return equal, [c for c in lp.constraints if c.relation != "equal"]
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
@@ -210,18 +151,20 @@ def solve(lp: LinearProgram) -> SolveReport:
     after clamping.
     """
     n = lp.n
-    has_ub = lp.ub_matrix.shape[0] > 0
+    equal, other = _split(lp)
+    eq_rows, eq_rhs = _fairness_rows(equal, n)
+    ub_rows, ub_rhs = _fairness_rows(other, n)
     result = linprog(
         -lp.objective,
-        A_eq=lp.eq_matrix,
-        b_eq=lp.eq_rhs,
-        A_ub=lp.ub_matrix if has_ub else None,
-        b_ub=lp.ub_rhs if has_ub else None,
+        A_eq=sparse.vstack([_stochastic_rows(n), sparse.csr_array(eq_rows)], format="csr"),
+        b_eq=np.concatenate([np.ones(2 * n), eq_rhs]),
+        A_ub=ub_rows if other else None,
+        b_ub=ub_rhs if other else None,
         bounds=(0.0, 1.0),
         method="highs",
     )
     iterations = int(getattr(result, "nit", 0) or 0)
-    labels = lp.eq_labels + lp.ub_labels
+    labels = tuple(c.label for c in lp.constraints)
 
     if result.status == 2:
         return SolveReport("infeasible", None, None, None, iterations, labels)
@@ -234,13 +177,7 @@ def solve(lp: LinearProgram) -> SolveReport:
 
     x = _clamp(np.asarray(result.x, dtype=float))
     entries = x.reshape(n, n)
-    residuals = [stochastic_violation(entries)]
-    fairness_rows = lp.eq_matrix[2 * n :]
-    if fairness_rows.shape[0] > 0:
-        residuals.append(float(np.max(np.abs(fairness_rows @ x - lp.eq_rhs[2 * n :]))))
-    if has_ub:
-        residuals.append(float(np.max(np.maximum(lp.ub_matrix @ x - lp.ub_rhs, 0.0))))
-    worst = max(residuals)
+    worst = max([stochastic_violation(entries)] + [c.residual(entries) for c in lp.constraints])
     if worst > TOLERANCE:
         raise NumericalFailure(
             f"claimed optimum violates constraints by {worst:.3e} "
@@ -268,7 +205,7 @@ def _row_text(
 ) -> str:
     terms = []
     for k in np.flatnonzero(coeffs):
-        i, j = unflatten_index(int(k), n)
+        i, j = divmod(int(k), n)
         c = float(coeffs[k])
         sign = "-" if c < 0 else "+"
         prefix = sign if terms or sign == "-" else ""
@@ -279,6 +216,10 @@ def _row_text(
     return f" {name}: {body} {op} {_coef(rhs)}"
 
 
+def _sum_text(name: str, variables: list[str]) -> str:
+    return f" {name}: " + " + ".join(f"1.0 {p}" for p in variables) + " = 1.0"
+
+
 def dump_lp(lp: LinearProgram) -> str:
     """Render the program as solver-interchange text.
 
@@ -286,23 +227,17 @@ def dump_lp(lp: LinearProgram) -> str:
     be fed to an external LP solver for cross-checking.
     """
     n = lp.n
-    lines = ["Maximize", _row_text("obj", lp.objective, n)]
-    lines.append("Subject To")
+    lines = ["Maximize", _row_text("obj", lp.objective, n), "Subject To"]
     for i in range(n):
-        lines.append(_row_text(f"row_sum_{i}", lp.eq_matrix[i], n, "=", 1.0))
+        lines.append(_sum_text(f"row_sum_{i}", [f"p_{i}_{j}" for j in range(n)]))
     for j in range(n):
-        lines.append(_row_text(f"col_sum_{j}", lp.eq_matrix[n + j], n, "=", 1.0))
-    for k, label in enumerate(lp.eq_labels):
-        lines.append(f"\\ {label}")
-        lines.append(
-            _row_text(f"fair_{k}", lp.eq_matrix[2 * n + k], n, "=", float(lp.eq_rhs[2 * n + k]))
-        )
-    for k, label in enumerate(lp.ub_labels):
-        lines.append(f"\\ {label}")
-        lines.append(_row_text(f"fair_ub_{k}", lp.ub_matrix[k], n, "<=", float(lp.ub_rhs[k])))
+        lines.append(_sum_text(f"col_sum_{j}", [f"p_{i}_{j}" for i in range(n)]))
+    for prefix, op, group in zip(("fair_", "fair_ub_"), ("=", "<="), _split(lp)):
+        rows, rhs = _fairness_rows(group, n)
+        for k, c in enumerate(group):
+            lines.append(f"\\ {c.label}")
+            lines.append(_row_text(f"{prefix}{k}", rows[k], n, op, float(rhs[k])))
     lines.append("Bounds")
-    for k in range(lp.n_variables):
-        i, j = unflatten_index(k, n)
-        lines.append(f" 0 <= p_{i}_{j} <= 1")
+    lines.extend(f" 0 <= p_{i}_{j} <= 1" for i in range(n) for j in range(n))
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -56,14 +56,6 @@ def user_fraction(key: Union[str, bytes]) -> float:
     return hash_user_key(key) / 2.0**64
 
 
-def cumulative_weights(decomposition: BvnDecomposition) -> np.ndarray:
-    """Normalized running sum of the term weights, ending at exactly 1."""
-    thetas = decomposition.thetas
-    cum = np.cumsum(thetas / thetas.sum())
-    cum[-1] = 1.0  # guard against accumulated rounding at the top end
-    return cum
-
-
 def term_index_for_fraction(decomposition: BvnDecomposition, t: float) -> int:
     """Inverse-CDF lookup of the term owning fraction ``t``.
 
@@ -72,7 +64,7 @@ def term_index_for_fraction(decomposition: BvnDecomposition, t: float) -> int:
     """
     if not 0.0 <= t < 1.0:
         raise ValueError(f"fraction must lie in [0, 1), got {t}")
-    return int(np.searchsorted(cumulative_weights(decomposition), t, side="left"))
+    return int(np.searchsorted(decomposition.cumulative_weights, t, side="left"))
 
 
 def sample_index(decomposition: BvnDecomposition, rng: RngLike = None) -> int:
@@ -88,7 +80,7 @@ def sample_indices(
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     draws = np.random.default_rng(rng).random(count)
-    return np.searchsorted(cumulative_weights(decomposition), draws, side="left")
+    return np.searchsorted(decomposition.cumulative_weights, draws, side="left")
 
 
 def sample(decomposition: BvnDecomposition, rng: RngLike = None) -> np.ndarray:

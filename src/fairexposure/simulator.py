@@ -29,7 +29,6 @@ from numpy.random import Generator, Philox
 
 from .bvn import BvnDecomposition
 from .core import RankingProblem
-from .sampler import cumulative_weights
 
 __all__ = ["GroupSimulation", "SimulationReport", "simulate"]
 
@@ -179,7 +178,7 @@ def simulate(
     scale = 1.0 / vmax if vmax > 1.0 else 1.0
     v_prob = v * scale
 
-    cum = cumulative_weights(decomposition)
+    cum = decomposition.cumulative_weights
     rankings = [t.ranking for t in decomposition.terms]
     inverses = []
     for ranking in rankings:

@@ -6,12 +6,13 @@ import io
 import json
 import sys
 from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from fairexposure.cli import main
-from fairexposure.core import position_bias_vector
+from fairexposure.core import position_bias_vector, stochastic_violation
 
 JOBSEEKER_CSV = (
     "id,group,utility\n"
@@ -91,6 +92,22 @@ class TestSolve:
         labels = [c["label"] for c in payload["constraints"]]
         assert len(labels) == 2
         assert all(c["satisfied"] for c in payload["constraints"])
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["demographic-parity:A,B", "disparate-impact:A,B", "disparate-treatment:A,B"],
+    )
+    def test_max_violation_is_largest_printed_residual(self, run, flag):
+        news = resources.files("fairexposure").joinpath("data", "synthetic_news.csv")
+        code, out, err = run(
+            ["solve", "-", "--constraint", flag], stdin_text=news.read_text("utf-8")
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        n = payload["n"]
+        matrix = np.array(payload["matrix"]).reshape(n, n)
+        residuals = [c["residual"] for c in payload["constraints"]]
+        assert payload["max_violation"] == max([stochastic_violation(matrix)] + residuals)
 
     def test_infeasible_exits_2_with_diagnosis(self, run, tmp_path):
         path = tmp_path / "adv.csv"

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fairexposure.constraints import (
+    FairnessConstraint,
     demographic_parity,
     disparate_impact,
     disparate_treatment,
@@ -26,10 +28,8 @@ from fairexposure.datasets import load_jobseeker, load_synthetic_news
 from fairexposure.lp import (
     build_lp,
     dump_lp,
-    flatten_index,
     solve,
     solve_problem,
-    unflatten_index,
 )
 
 from .test_core import make_problem
@@ -46,37 +46,68 @@ DUMP_SHA256 = {
 }
 
 
+def dump_rows(lp):
+    """Rows of ``dump_lp(lp)`` by name: ({variable: coefficient}, op, rhs)."""
+    text = dump_lp(lp)
+    body = text[text.index("Subject To\n") : text.index("Bounds\n")].splitlines()[1:]
+    rows = {}
+    for line in body:
+        if line.startswith("\\"):
+            continue
+        name, expr = line.strip().split(": ")
+        *terms, op, rhs = expr.split()
+        coeffs, sign = {}, 1.0
+        for token in terms:
+            if token in "+-":
+                sign = -1.0 if token == "-" else 1.0
+            elif token.startswith("p_"):
+                coeffs[token] = sign * value
+            else:
+                value = float(token)
+        rows[name] = (coeffs, op, float(rhs))
+    return rows
+
+
+def dump_variables(lp):
+    """Variable names in the order the Bounds section of ``dump_lp`` lists them."""
+    text = dump_lp(lp)
+    bounds = text[text.index("Bounds\n") : text.index("End\n")].splitlines()[1:]
+    return [line.split()[2] for line in bounds]
+
+
 class TestIndexing:
     def test_flatten_unflatten_bijection(self):
+        # variables are row-major: variable k is entry divmod(k, n)
         n = 5
-        seen = set()
-        for i in range(n):
-            for j in range(n):
-                k = flatten_index(i, j, n)
-                assert unflatten_index(k, n) == (i, j)
-                seen.add(k)
-        assert seen == set(range(n * n))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            flatten_index(2, 0, 2)
-        with pytest.raises(ValueError):
-            unflatten_index(4, 2)
+        problem = make_problem(
+            utilities=(0.9, 0.7, 0.5, 0.3, 0.1), groups=("M", "F", "M", "F", "M")
+        )
+        lp = build_lp(problem)
+        names = dump_variables(lp)
+        assert names == [f"p_{k // n}_{k % n}" for k in range(n * n)]
+        assert len(set(names)) == n * n
+        u, v = problem.utilities, problem.bias
+        for k in range(n * n):
+            i, j = divmod(k, n)
+            assert lp.objective[k] == u[i] * v[j]
 
 
 class TestBuildLp:
     def test_sizes_with_one_constraint(self):
         problem = make_problem()
         lp = build_lp(problem, [demographic_parity(problem, "M", "F")])
-        assert lp.n_variables == 36
-        assert lp.n_equality_rows == 13
-        assert lp.n_stochasticity_rows == 12
+        assert lp.objective.shape == (36,)
+        assert len(dump_variables(lp)) == 36
+        rows = dump_rows(lp)
+        assert len(rows) == 13
+        assert sum(1 for name in rows if "_sum_" in name) == 12
 
     def test_sizes_without_constraints(self):
         problem = make_problem(utilities=(0.9, 0.1), groups=("A", "B"))
         lp = build_lp(problem)
-        assert lp.n_variables == 4
-        assert lp.n_equality_rows == 4
+        assert lp.objective.shape == (4,)
+        assert len(dump_variables(lp)) == 4
+        assert len(dump_rows(lp)) == 4
 
     def test_objective_is_u_outer_v(self):
         problem = make_problem()
@@ -89,20 +120,23 @@ class TestBuildLp:
     def test_parity_row_coefficient(self):
         problem = make_problem()
         lp = build_lp(problem, [demographic_parity(problem, "M", "F")])
-        # fairness row sits after the 12 stochasticity rows; variable (0,0)
-        # is the probability that the first item takes the top rank
-        assert lp.eq_matrix[12, flatten_index(0, 0, 6)] == pytest.approx(
-            PARITY_ROW_COEFF, abs=1e-9
-        )
-        assert lp.eq_rhs[12] == 0.0
+        # p_0_0 is the probability that the first item takes the top rank
+        coeffs, op, rhs = dump_rows(lp)["fair_0"]
+        assert coeffs["p_0_0"] == pytest.approx(PARITY_ROW_COEFF, abs=1e-9)
+        assert (op, rhs) == ("=", 0.0)
 
     def test_stochasticity_rows_sum_matrix_entries(self):
         problem = make_problem()
-        lp = build_lp(problem)
+        rows = dump_rows(build_lp(problem))
         P = np.arange(36, dtype=float).reshape(6, 6)
-        applied = lp.eq_matrix[:12] @ P.ravel()
-        np.testing.assert_allclose(applied[:6], P.sum(axis=1))
-        np.testing.assert_allclose(applied[6:], P.sum(axis=0))
+
+        def applied(name):
+            coeffs, op, rhs = rows[name]
+            assert (op, rhs) == ("=", 1.0)
+            return sum(c * P[tuple(map(int, var.split("_")[1:]))] for var, c in coeffs.items())
+
+        np.testing.assert_allclose([applied(f"row_sum_{i}") for i in range(6)], P.sum(axis=1))
+        np.testing.assert_allclose([applied(f"col_sum_{j}") for j in range(6)], P.sum(axis=0))
 
     def test_length_mismatch_rejected(self):
         problem = make_problem()
@@ -170,6 +204,34 @@ class TestSolve:
         assert report.matrix is None
         assert any("disparate-treatment" in lbl for lbl in report.constraint_labels)
 
+    def test_constraint_labels_in_given_order(self):
+        problem = make_problem()
+        eq = demographic_parity(problem, "M", "F")
+        constraints = [
+            FairnessConstraint(eq.f, eq.g, 0.05, "less-equal", "relaxed-upper"),
+            eq,
+            FairnessConstraint(eq.f, eq.g, -0.05, "greater-equal", "relaxed-lower"),
+        ]
+        report = solve_problem(problem, constraints)
+        assert report.status == "optimal"
+        assert report.constraint_labels == ("relaxed-upper", eq.label, "relaxed-lower")
+
+    def test_solve_memory_grows_with_fairness_rows_only(self):
+        # a dense 2N x N² block of stochasticity rows alone would take 3.3 MB
+        n = 60
+        problem = make_problem(
+            utilities=tuple(np.linspace(0.95, 0.05, n)), groups=("M", "F") * (n // 2)
+        )
+        constraint = demographic_parity(problem, "M", "F")
+        tracemalloc.start()
+        try:
+            report = solve(build_lp(problem, [constraint]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "optimal"
+        assert peak < 4 * 2**20
+
     def test_singleton_group_chain_equalizes_every_item(self):
         # one group per item: exposure proportional to utility item-wise;
         # ratios kept below v_1/v_3 so the target exposures are attainable
@@ -186,8 +248,6 @@ class TestSolve:
     def test_inequality_relation_round_trip(self):
         problem = make_problem()
         eq = demographic_parity(problem, "M", "F")
-        from fairexposure.constraints import FairnessConstraint
-
         relaxed = [
             FairnessConstraint(eq.f, eq.g, 0.05, "less-equal", "relaxed-upper"),
             FairnessConstraint(eq.f, eq.g, -0.05, "greater-equal", "relaxed-lower"),

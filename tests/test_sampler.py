@@ -64,6 +64,13 @@ class TestTermIndexForFraction:
         with pytest.raises(ValueError, match="fraction"):
             term_index_for_fraction(dec, 1.0)
 
+    def test_cumulative_weights_computed_once(self):
+        dec = two_term_decomposition(0.3)
+        cum = dec.cumulative_weights
+        assert dec.cumulative_weights is cum
+        np.testing.assert_array_equal(cum, [0.3, 1.0])
+        assert not cum.flags.writeable
+
 
 class TestSample:
     def test_single_term_always_returned(self):
