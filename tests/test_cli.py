@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
@@ -12,12 +13,43 @@ import numpy as np
 import pytest
 
 from fairexposure.cli import main
-from fairexposure.core import position_bias_vector, stochastic_violation
+from fairexposure.core import (
+    PositionBias,
+    RankingProblem,
+    permutation_matrix,
+    position_bias_vector,
+    prp_ranking,
+    stochastic_violation,
+    utility,
+)
+from fairexposure.datasets import read_items_csv
 
 JOBSEEKER_CSV = (
     "id,group,utility\n"
     "m1,M,0.82\nm2,M,0.81\nm3,M,0.8\nf1,F,0.79\nf2,F,0.78\nf3,F,0.77\n"
 )
+NEWS_CSV = resources.files("fairexposure").joinpath("data", "synthetic_news.csv")
+
+# The news-fixture pipeline: (name, arguments, whose stdout feeds stdin),
+# and the sha256 prefix of each command's stdout.
+NEWS_PIPELINE = (
+    ("solve", ["solve", "-", "--constraint", "demographic-parity:A,B"], "csv"),
+    ("decompose", ["decompose"], "solve"),
+    ("sample_count", ["sample", "--count", "10", "--seed", "7"], "decompose"),
+    ("sample_user", ["sample", "--user", "user-7"], "decompose"),
+    ("evaluate", ["evaluate", "--against-optimal"], "solve"),
+    ("feasibility", ["feasibility", "-", "--notion", "disparate-treatment", "--groups", "A,B"], "csv"),
+    ("simulate", ["simulate", "--users", "10000", "--seed", "7"], "decompose"),
+)
+NEWS_PIPELINE_SHA256 = {
+    "solve": "51286a5548b5d0bb",
+    "decompose": "7bf2481c86a629ef",
+    "sample_count": "2bbe77230919bf48",
+    "sample_user": "e7aee8a806c47b6d",
+    "evaluate": "1c861a8e862d2e02",
+    "feasibility": "3880778de550971c",
+    "simulate": "567a9c1a37e8adaa",
+}
 ADVERSARIAL_CSV = (
     "id,group,utility\n"
     "a1,A,0.9\na2,A,0.9\na3,A,0.9\nb1,B,0.45\nb2,B,0.45\nb3,B,0.45\n"
@@ -98,9 +130,8 @@ class TestSolve:
         ["demographic-parity:A,B", "disparate-impact:A,B", "disparate-treatment:A,B"],
     )
     def test_max_violation_is_largest_printed_residual(self, run, flag):
-        news = resources.files("fairexposure").joinpath("data", "synthetic_news.csv")
         code, out, err = run(
-            ["solve", "-", "--constraint", flag], stdin_text=news.read_text("utf-8")
+            ["solve", "-", "--constraint", flag], stdin_text=NEWS_CSV.read_text("utf-8")
         )
         assert code == 0, err
         payload = json.loads(out)
@@ -354,6 +385,26 @@ class TestEvaluate:
         payload = json.loads(out)
         assert payload["cof"] == pytest.approx(0.0162, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "csv_text, groups",
+        [(JOBSEEKER_CSV, "M,F"), (NEWS_CSV.read_text("utf-8"), "A,B")],
+        ids=["jobseeker", "news"],
+    )
+    def test_against_optimal_reference_is_prp(self, run, csv_text, groups):
+        code, out, err = run(
+            ["solve", "--constraint", f"demographic-parity:{groups}"], stdin_text=csv_text
+        )
+        assert code == 0, err
+        code, out, err = run(["evaluate", "--against-optimal"], stdin_text=out)
+        assert code == 0, err
+        payload = json.loads(out)
+        items = read_items_csv(io.StringIO(csv_text))
+        problem = RankingProblem(
+            items=items, position_bias=PositionBias.log_discount(len(items))
+        )
+        best = utility(permutation_matrix(prp_ranking(problem)), problem)
+        assert payload["cof"] == best - payload["dcg"]
+
     def test_group_pair_flip_inverts_ratio(self, run, jobseeker_file):
         solution = solve_json(run, jobseeker_file)
         _, out_mf, _ = run(
@@ -504,3 +555,15 @@ class TestPipelineComposition:
         empirical /= count
         analytic = np.array(solution["matrix"]).reshape(6, 6) @ v
         np.testing.assert_allclose(empirical, analytic, atol=0.02)
+
+
+class TestNewsPipelinePinned:
+    def test_stdout_bytes_pinned(self, run):
+        outputs = {"csv": NEWS_CSV.read_text("utf-8")}
+        digests = {}
+        for name, args, source in NEWS_PIPELINE:
+            code, out, err = run(args, stdin_text=outputs[source])
+            assert code == 0, (name, err)
+            outputs[name] = out
+            digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+        assert digests == NEWS_PIPELINE_SHA256
