@@ -61,7 +61,6 @@ from .feasibility import (
     check_dt_feasibility,
     check_feasibility,
     dt_exposure_ratio_range,
-    probe_feasibility,
 )
 from .lp import (
     LinearProgram,
@@ -135,7 +134,6 @@ __all__ = [
     "multi_group_constraints",
     "permutation_matrix",
     "position_bias_vector",
-    "probe_feasibility",
     "prp_ranking",
     "read_items_csv",
     "reconstruct",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .core import TOLERANCE, MatrixLike, as_matrix, permutation_matrix, stochastic_violation
 
@@ -138,9 +137,7 @@ def _perfect_matching(mask: np.ndarray) -> np.ndarray | None:
     that matcher; any one gives a valid extraction step.  Returns
     row_of_col, or None when no perfect matching exists.
     """
-    # Imported on first use: at module level it made every CLI command
-    # slower (the CLI pipeline benchmark by about 5%), though only
-    # decomposition needs it.
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
     n = mask.shape[0]

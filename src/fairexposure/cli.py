@@ -27,7 +27,14 @@ import numpy as np
 
 from .bvn import BvnDecomposition, BvnTerm, decompose
 from .constraints import NOTIONS, FairnessConstraint, multi_group_constraints
-from .core import TOLERANCE, Item, PositionBias, RankingProblem
+from .core import (
+    TOLERANCE,
+    Item,
+    PositionBias,
+    RankingProblem,
+    permutation_matrix,
+    prp_ranking,
+)
 from .datasets import read_items_csv
 from .feasibility import check_feasibility
 from .lp import NumericalFailure, build_lp, dump_lp, solve
@@ -329,13 +336,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"solution status is {status!r}; nothing to evaluate")
     problem = _problem_from_json(payload, "solution")
     matrix = _matrix_from_json(payload, "solution")
-    reference = None
-    if args.against_optimal:
-        unconstrained = solve(build_lp(problem))
-        if not unconstrained.optimal:
-            print("error: could not solve the unconstrained reference", file=sys.stderr)
-            return EXIT_NUMERICAL
-        reference = unconstrained.matrix
+    reference = permutation_matrix(prp_ranking(problem)) if args.against_optimal else None
     report = evaluate(
         matrix, problem, group_pair=_parse_group_pair(args.group_pair), reference=reference
     )
@@ -427,7 +428,8 @@ def _build_parser() -> _Parser:
     eval_p.add_argument(
         "--against-optimal",
         action="store_true",
-        help="also report the utility cost versus the unconstrained optimum",
+        help="also report the utility cost versus the unconstrained optimum, "
+        "which is the PRP ranking (items sorted by utility)",
     )
     eval_p.set_defaults(handler=_cmd_evaluate)
 

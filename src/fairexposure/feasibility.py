@@ -4,28 +4,26 @@ Exposure-proportionality (disparate treatment) has a closed form: the
 group-exposure ratio is extremized by block placements, putting one group
 wholly on top and the other wholly at the bottom, so the constraint is
 satisfiable exactly when the mean-utility ratio falls inside that
-attainable range.  Demographic parity is always satisfiable (the uniform
-matrix equalizes exposure).  Clickthrough-proportionality (disparate
-impact) has no closed form here; it is checked by probing the linear
-program directly.
+attainable range.  Demographic parity and clickthrough-proportionality
+(disparate impact) are always satisfiable: the uniform matrix gives every
+item exposure ``mean(v)``, so it satisfies any row whose coefficients sum
+to zero, ``f·(J/n)·v = mean(v)·Σf = 0``, and both rows do (``Σf = 1 − 1``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .constraints import FairnessConstraint, disparate_impact
+from .constraints import NOTIONS, disparate_treatment
 from .core import RankingProblem
-from . import lp as _lp
 
 __all__ = [
     "FeasibilityVerdict",
     "dt_exposure_ratio_range",
     "check_dt_feasibility",
-    "probe_feasibility",
     "check_feasibility",
 ]
 
@@ -34,14 +32,23 @@ _REMEDY = (
     "and widens the attainable exposure-ratio range"
 )
 
+# notions the uniform matrix always satisfies, with the reason
+_WITNESS_NOTES = {
+    "demographic-parity": "the uniform matrix equalizes exposure for any two groups",
+    "disparate-impact": (
+        "the uniform matrix gives every item equal exposure and the impact "
+        "coefficients sum to zero, so it equalizes clickthrough per unit utility"
+    ),
+}
+
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     """Outcome of a feasibility check.
 
     ``method`` records how the verdict was reached: "closed-form" for the
-    exposure-ratio range, "witness" for constraints a known matrix always
-    satisfies, "lp-probe" when the linear program itself was consulted.
+    exposure-ratio range, "witness" for constraints the uniform matrix
+    always satisfies.
     """
 
     feasible: bool
@@ -108,6 +115,7 @@ def check_dt_feasibility(
     problem: RankingProblem, g0: str, g1: str
 ) -> FeasibilityVerdict:
     """Closed-form feasibility of exposure proportional to mean utility."""
+    disparate_treatment(problem, g0, g1)  # rejects equal, missing and zero-mean groups
     idx0 = problem.group_indices(g0)
     idx1 = problem.group_indices(g1)
     mean0 = problem.positive_mean_utility(g0, "exposure proportional to utility")
@@ -130,44 +138,24 @@ def check_dt_feasibility(
     )
 
 
-def probe_feasibility(
-    problem: RankingProblem,
-    constraints: Sequence[FairnessConstraint],
-    notion: str,
-    groups: tuple[str, str],
-) -> FeasibilityVerdict:
-    """Decide feasibility by solving the program itself."""
-    report = _lp.solve_problem(problem, constraints)
-    feasible = report.status == "optimal"
-    note = "decided by solving the linear program with the constraint in place"
-    if not feasible:
-        note += f"; {_REMEDY}"
-    return FeasibilityVerdict(
-        feasible=feasible,
-        notion=notion,
-        groups=groups,
-        method="lp-probe",
-        note=note,
-    )
-
-
 def check_feasibility(
     problem: RankingProblem, notion: str, g0: str, g1: str
 ) -> FeasibilityVerdict:
-    """Dispatch to the strongest available check for ``notion``."""
-    if notion == "demographic-parity":
-        problem.group_indices(g0)
-        problem.group_indices(g1)
-        return FeasibilityVerdict(
-            feasible=True,
-            notion=notion,
-            groups=(g0, g1),
-            method="witness",
-            note="the uniform matrix equalizes exposure for any two groups",
-        )
+    """Decide whether ``notion`` between groups ``g0`` and ``g1`` is attainable.
+
+    The notion's constraint is built first, so the groups are checked by
+    the same rules ``solve`` applies (distinct, present, and for the
+    utility-proportional notions, of nonzero mean utility).
+    """
+    if notion not in NOTIONS:
+        raise ValueError(f"unknown fairness notion {notion!r}")
     if notion == "disparate-treatment":
         return check_dt_feasibility(problem, g0, g1)
-    if notion == "disparate-impact":
-        constraint = disparate_impact(problem, g0, g1)
-        return probe_feasibility(problem, [constraint], notion, (g0, g1))
-    raise ValueError(f"unknown fairness notion {notion!r}")
+    NOTIONS[notion](problem, g0, g1)
+    return FeasibilityVerdict(
+        feasible=True,
+        notion=notion,
+        groups=(g0, g1),
+        method="witness",
+        note=_WITNESS_NOTES[notion],
+    )

@@ -21,6 +21,11 @@ shared tolerance ``core.TOLERANCE``, the same one every layer accepts.
 
 Memory grows as N² per fairness row; HiGHS solve time, not assembly,
 limits practical problems to a few hundred items.
+
+Import rule: scipy is imported inside the functions that call it
+(``solve``, ``_stochastic_rows`` and ``bvn._perfect_matching``), never at
+module level, so that only the ``solve`` and ``decompose`` commands pay
+for loading it (README, "Scale").
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import TOLERANCE, DoublyStochasticMatrix, RankingProblem, stochastic_violation
 from .constraints import FairnessConstraint
@@ -113,8 +116,10 @@ def build_lp(
     return LinearProgram(n=n, objective=objective, constraints=tuple(constraints))
 
 
-def _stochastic_rows(n: int) -> sparse.csr_array:
-    """The n row-sum rows, then the n column-sum rows, as one sparse block."""
+def _stochastic_rows(n: int):
+    """The n row-sum rows, then the n column-sum rows, as one sparse CSR block."""
+    from scipy import sparse
+
     ones, eye = np.ones((1, n)), sparse.eye_array(n)
     return sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)], format="csr")
 
@@ -150,6 +155,9 @@ def solve(lp: LinearProgram) -> SolveReport:
     claimed optimum violates some constraint by more than ``TOLERANCE``
     after clamping.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n = lp.n
     equal, other = _split(lp)
     eq_rows, eq_rhs = _fairness_rows(equal, n)

@@ -5,13 +5,17 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairexposure
 from fairexposure.cli import main
 from fairexposure.core import (
     PositionBias,
@@ -475,6 +479,18 @@ class TestFeasibility:
         assert code == 0
         assert json.loads(out)["method"] == "witness"
 
+    @pytest.mark.parametrize(
+        "notion", ["demographic-parity", "disparate-impact", "disparate-treatment"]
+    )
+    def test_identical_groups_rejected(self, run, notion):
+        code, out, err = run(
+            ["feasibility", "-", "--notion", notion, "--groups", "A,A"],
+            stdin_text=NEWS_CSV.read_text("utf-8"),
+        )
+        assert code == 1
+        assert out == ""
+        assert "the two groups must differ, both are 'A'" in err
+
     def test_notion_flag_required(self, run, jobseeker_file):
         code, _, _ = run(["feasibility", jobseeker_file, "--groups", "M,F"])
         assert code == 1
@@ -567,3 +583,50 @@ class TestNewsPipelinePinned:
             outputs[name] = out
             digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
         assert digests == NEWS_PIPELINE_SHA256
+
+
+# Runs in a fresh interpreter: the commands that neither solve nor
+# decompose, then prints every scipy module they loaded.
+IMPORT_GUARD = """
+import contextlib, io, sys
+import fairexposure
+from fairexposure import cli
+solution, decomposition, items = sys.argv[1:]
+commands = [
+    ["sample", decomposition, "--count", "3", "--seed", "1"],
+    ["sample", decomposition, "--user", "user-1"],
+    ["simulate", decomposition, "--users", "100"],
+    ["evaluate", solution, "--against-optimal"],
+] + [["feasibility", items, "--notion", n, "--groups", "A,B"] for n in sorted(cli.NOTIONS)]
+for args in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(args)
+    if code != 0:
+        sys.exit(f"{args[0]} exited {code}")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestImportGuard:
+    def test_only_solve_and_decompose_load_scipy(self, run, tmp_path):
+        paths = {name: tmp_path / name for name in ("solution", "decomposition", "items")}
+        paths["items"].write_text(NEWS_CSV.read_text("utf-8"), encoding="utf-8")
+        code, out, err = run(
+            ["solve", str(paths["items"]), "--constraint", "demographic-parity:A,B"]
+        )
+        assert code == 0, err
+        paths["solution"].write_text(out, encoding="utf-8")
+        code, out, err = run(["decompose", str(paths["solution"])])
+        assert code == 0, err
+        paths["decomposition"].write_text(out, encoding="utf-8")
+
+        src = str(Path(fairexposure.__file__).parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD, *(str(paths[k]) for k in paths)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"

@@ -4,14 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairexposure.constraints import disparate_treatment
-from fairexposure.core import Item, PositionBias, RankingProblem, position_bias_vector
+from fairexposure.constraints import NOTIONS, disparate_treatment
+from fairexposure.core import (
+    TOLERANCE,
+    DoublyStochasticMatrix,
+    Item,
+    PositionBias,
+    RankingProblem,
+    position_bias_vector,
+)
 from fairexposure.feasibility import (
     check_dt_feasibility,
     check_feasibility,
     dt_exposure_ratio_range,
-    probe_feasibility,
 )
 from fairexposure.lp import solve_problem
 
@@ -134,6 +142,10 @@ class TestCheckDtFeasibility:
         with pytest.raises(ValueError, match="zero mean utility"):
             check_dt_feasibility(problem, "M", "F")
 
+    def test_identical_groups_rejected(self):
+        with pytest.raises(ValueError, match="the two groups must differ"):
+            check_dt_feasibility(make_problem(), "M", "M")
+
     def test_verdict_serializes(self):
         verdict = check_dt_feasibility(make_problem(), "M", "F")
         payload = verdict.to_dict()
@@ -146,9 +158,9 @@ class TestCheckFeasibility:
         verdict = check_feasibility(make_problem(), "demographic-parity", "M", "F")
         assert verdict.feasible and verdict.method == "witness"
 
-    def test_impact_uses_lp_probe(self):
+    def test_impact_is_witnessed(self):
         verdict = check_feasibility(make_problem(), "disparate-impact", "M", "F")
-        assert verdict.feasible and verdict.method == "lp-probe"
+        assert verdict.feasible and verdict.method == "witness"
 
     def test_treatment_dispatches_to_closed_form(self):
         verdict = check_feasibility(make_problem(), "disparate-treatment", "M", "F")
@@ -158,15 +170,48 @@ class TestCheckFeasibility:
         with pytest.raises(ValueError, match="notion"):
             check_feasibility(make_problem(), "equal-opportunity", "M", "F")
 
-    def test_probe_detects_infeasibility(self):
-        problem = make_problem(utilities=ADVERSARIAL_UTILITIES)
-        constraint = disparate_treatment(problem, "M", "F")
-        verdict = probe_feasibility(
-            problem, [constraint], "disparate-treatment", ("M", "F")
-        )
-        assert not verdict.feasible
-        assert verdict.method == "lp-probe"
-        assert "neither group" in verdict.note
+    @pytest.mark.parametrize("notion", sorted(NOTIONS))
+    def test_identical_groups_rejected(self, notion):
+        with pytest.raises(ValueError, match="the two groups must differ"):
+            check_feasibility(make_problem(), notion, "M", "M")
+
+    @pytest.mark.parametrize("notion", ["disparate-treatment", "disparate-impact"])
+    def test_zero_mean_utility_rejected(self, notion):
+        problem = make_problem(utilities=(0.5, 0.5, 0.5, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="zero mean utility"):
+            check_feasibility(problem, notion, "M", "F")
+
+
+@st.composite
+def witness_instances(draw) -> RankingProblem:
+    """Groups A and B of 1-25 items, an optional filler group C of up to 10,
+    zero utilities anywhere except one item each of A and B (so both means
+    are nonzero), and log-discount or dcg@k bias with a zero tail."""
+    sizes = (draw(st.integers(1, 25)), draw(st.integers(1, 25)), draw(st.integers(0, 10)))
+    n = sum(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = rng.permutation(np.repeat(["A", "B", "C"], sizes))
+    utilities = rng.uniform(0.0, 1.0, size=n).round(3)
+    utilities[rng.random(n) < draw(st.floats(0.0, 0.9))] = 0.0
+    for label in ("A", "B"):
+        utilities[np.flatnonzero(groups == label)[0]] = draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        bias = PositionBias.dcg_at_k(n, k=draw(st.integers(1, n)))
+    else:
+        bias = PositionBias.log_discount(n)
+    return make_problem(utilities=tuple(utilities), groups=tuple(groups), bias=bias)
+
+
+class TestWitnessIdentity:
+    """The uniform matrix satisfies parity and impact: both rows sum to zero."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(witness_instances(), st.sampled_from(["demographic-parity", "disparate-impact"]))
+    def test_uniform_matrix_satisfies_constraint(self, problem, notion):
+        constraint = NOTIONS[notion](problem, "A", "B")
+        assert constraint.residual(DoublyStochasticMatrix.uniform(problem.n)) <= TOLERANCE
+        assert check_feasibility(problem, notion, "A", "B").method == "witness"
+        assert solve_problem(problem, [constraint]).status == "optimal"
 
 
 class TestOracleEquivalence:
