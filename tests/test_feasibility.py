@@ -175,11 +175,10 @@ class TestCheckFeasibility:
         with pytest.raises(ValueError, match="the two groups must differ"):
             check_feasibility(make_problem(), notion, "M", "M")
 
-    @pytest.mark.parametrize("notion", ["disparate-treatment", "disparate-impact"])
-    def test_zero_mean_utility_rejected(self, notion):
+    def test_impact_zero_mean_utility_rejected(self):
         problem = make_problem(utilities=(0.5, 0.5, 0.5, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="zero mean utility"):
-            check_feasibility(problem, notion, "M", "F")
+            check_feasibility(problem, "disparate-impact", "M", "F")
 
 
 @st.composite
