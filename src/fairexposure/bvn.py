@@ -7,10 +7,17 @@ needed.  ``decompose`` extracts terms greedily: find a perfect matching
 peel off the minimum matched entry as the term weight, and repeat.
 Every matrix within ``core.TOLERANCE`` of doubly stochastic decomposes;
 what extraction leaves behind is reported as the residual.
-Greedy extraction alone can exceed the term bound on dense matrices, so
-a reduction pass then merges affinely dependent terms (doubly stochastic
-matrices form an affine space of dimension (N-1)^2, so any larger set of
-permutations is dependent) until the bound holds.
+
+The loop stays within the term bound by itself.  Entries only decrease,
+so the support S (the entries > 0) only shrinks, and every matching lies
+inside S.  A step whose weight is its smallest matched entry sets that
+entry to exactly 0: an edge of a perfect matching leaves S, so the face
+of the Birkhoff polytope that S spans becomes a proper subface.  That
+face starts at dimension <= (N-1)^2, so the loop finds at most
+(N-1)^2 + 1 matchings, and no matching repeats.  A step whose weight is
+capped below its smallest matched entry (by the lightest line, or by 1
+on an input whose lines all exceed 1) zeroes nothing, so it is the last
+step, and what it leaves is the residual.
 
 A decomposition is the sampleable form of a probabilistic ranking: draw
 term i with probability theta_i and show its ranking.
@@ -29,9 +36,6 @@ __all__ = ["BvnTerm", "BvnDecomposition", "decompose", "reconstruct", "term_boun
 
 # extraction stops once some row or column keeps less than this mass
 _MATCHING_TOLERANCE = 1e-7
-
-# dependent-term weights below this are treated as eliminated
-_DROP_EPS = 1e-14
 
 
 def term_bound(n: int) -> int:
@@ -151,58 +155,15 @@ def _perfect_matching(mask: np.ndarray) -> np.ndarray | None:
     return row_of_col
 
 
-def _affine_coordinates(rankings: list[np.ndarray], n: int) -> np.ndarray:
-    """Coordinates of each permutation in the doubly stochastic affine space.
-
-    The leading (n-1) x (n-1) block determines a doubly stochastic matrix,
-    so that block plus a constant-1 component (encoding that coefficients
-    sum to zero) captures affine dependence exactly.
-    """
-    coords = np.ones((len(rankings), (n - 1) ** 2 + 1))
-    for k, ranking in enumerate(rankings):
-        block = permutation_matrix(ranking)[: n - 1, : n - 1]
-        coords[k, :-1] = block.ravel()
-    return coords
-
-
-def _eliminate_dependent_term(
-    thetas: np.ndarray, rankings: list[np.ndarray], n: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Zero out at least one term weight without changing the mixture.
-
-    Finds coefficients lam with sum(lam) = 0 and sum(lam_i * P_i) = 0,
-    then moves theta along -lam until the first weight hits zero.  Valid
-    whenever the number of terms exceeds the affine dimension bound.
-    """
-    coords = _affine_coordinates(rankings, n)
-    if len(rankings) <= coords.shape[1]:
-        raise RuntimeError("term count within the affine dimension; nothing to eliminate")
-    # null vector of coords^T: direction along which the mixture is flat
-    _, _, vt = np.linalg.svd(coords.T, full_matrices=True)
-    lam = vt[-1]
-    if float(np.abs(coords.T @ lam).max()) > 1e-8:
-        raise RuntimeError("no affine dependence found among decomposition terms")
-    if not np.any(lam > 0.0):
-        lam = -lam
-    positive = lam > 1e-12 * float(np.abs(lam).max())
-    steps = thetas[positive] / lam[positive]
-    t = float(steps.min())
-    new_thetas = thetas - t * lam
-    new_thetas[np.abs(new_thetas) <= _DROP_EPS] = 0.0
-    if float(new_thetas.min()) < -1e-9:
-        raise RuntimeError("dependence elimination produced a negative weight")
-    keep = new_thetas > 0.0
-    if keep.all():
-        raise RuntimeError("dependence elimination failed to drop a term")
-    return new_thetas[keep], [r for r, k in zip(rankings, keep) if k]
-
-
 def decompose(P: MatrixLike) -> BvnDecomposition:
     """Decompose ``P`` into a convex combination of permutation matrices.
 
-    Every matrix doubly stochastic within ``TOLERANCE`` decomposes; what
-    extraction leaves (under 1e-7 on an exact input) is the residual.
-    Terms come back sorted by weight descending (ties broken by ranking,
+    Every matrix doubly stochastic within ``TOLERANCE`` decomposes into
+    at most ``term_bound(n)`` distinct permutations; what extraction
+    leaves (under 1e-7 on an exact input) is the residual.  Each step
+    takes its smallest matched entry as the weight, capped by the
+    lightest line and by 1; a capped step ends the extraction.  Terms
+    come back sorted by weight descending (ties broken by ranking,
     lexicographically).
     """
     m = as_matrix(P).astype(float, copy=True)
@@ -215,37 +176,34 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
         )
 
     cols = np.arange(n)
-    weights: dict[tuple[int, ...], float] = {}
+    thetas: list[float] = []
+    rankings: list[np.ndarray] = []
     # n^2 * cut <= 1/2: the entries below the cut hold under half a line
     cut = min(_MATCHING_TOLERANCE, 0.5 / n**2)
+    capped = False
     while True:
         lines = np.concatenate((m.sum(axis=1), m.sum(axis=0)))
         smallest, largest = float(lines.min()), float(lines.max())
-        if smallest < _MATCHING_TOLERANCE:
+        # a capped step zeroes no entry, so the support argument in the
+        # module docstring no longer bounds the steps after it
+        if capped or smallest < _MATCHING_TOLERANCE:
             break
         # Hall's condition survives the cut on an exact input; an input off
         # by up to TOLERANCE may run out of matchings (see _residual_bound)
         row_of_col = _perfect_matching(m > cut * largest)
         if row_of_col is None:
             break
+        low = float(m[row_of_col, cols].min())
         # with negative entries, matched entries can outweigh their lines
-        theta = min(float(m[row_of_col, cols].min()), smallest, 1.0)
+        theta = min(low, smallest, 1.0)
         m[row_of_col, cols] -= theta
-        key = tuple(row_of_col.tolist())
-        weights[key] = weights.get(key, 0.0) + theta
+        thetas.append(theta)
+        rankings.append(row_of_col)
+        capped = theta < low
     residual = max(largest, 0.0)
 
-    thetas = np.array(list(weights.values()))
-    rankings = [np.array(key, dtype=int) for key in weights]
-    while thetas.size > term_bound(n):
-        thetas, rankings = _eliminate_dependent_term(thetas, rankings, n)
-
-    order = sorted(
-        range(thetas.size), key=lambda k: (-thetas[k], tuple(rankings[k].tolist()))
-    )
-    terms = tuple(
-        BvnTerm(theta=min(float(thetas[k]), 1.0), ranking=rankings[k]) for k in order
-    )
+    order = sorted(range(len(thetas)), key=lambda k: (-thetas[k], rankings[k].tolist()))
+    terms = tuple(BvnTerm(theta=thetas[k], ranking=rankings[k]) for k in order)
     return BvnDecomposition(terms=terms, residual=residual)
 
 

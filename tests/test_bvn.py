@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 from fairexposure.bvn import (
     BvnDecomposition,
     BvnTerm,
-    _eliminate_dependent_term,
     decompose,
     reconstruct,
     term_bound,
 )
-from fairexposure.constraints import demographic_parity
+from fairexposure.constraints import NOTIONS, demographic_parity
 from fairexposure.core import TOLERANCE, DoublyStochasticMatrix, permutation_matrix
 from fairexposure.lp import solve_problem
 
 from .test_core import make_problem
+from .test_feasibility import witness_instances
 
 
 def ipf_doubly_stochastic(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,21 +288,36 @@ class TestReconstruct:
             reconstruct(dec, n=4)
 
 
-class TestDependenceElimination:
-    def test_reduces_overfull_mixture(self):
-        # all six 3-permutations: one more than the affine bound allows
-        perms = [np.array(p) for p in itertools.permutations(range(3))]
-        rng = np.random.default_rng(3)
-        thetas = rng.dirichlet(np.ones(6))
-        target = np.zeros((3, 3))
-        for theta, perm in zip(thetas, perms):
-            target += theta * permutation_matrix(perm)
+class TestTermBound:
+    """Greedy extraction alone stays within term_bound(n)."""
 
-        new_thetas, new_perms = _eliminate_dependent_term(thetas, perms, 3)
-        assert len(new_perms) < 6
-        assert float(new_thetas.min()) > 0.0
-        assert float(new_thetas.sum()) == pytest.approx(1.0, abs=1e-9)
-        rebuilt = np.zeros((3, 3))
-        for theta, perm in zip(new_thetas, new_perms):
-            rebuilt += theta * permutation_matrix(perm)
-        np.testing.assert_allclose(rebuilt, target, atol=1e-9)
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_mixture_meets_bound_exactly(self, n, seed):
+        rng = np.random.default_rng([n, seed])
+        weights = rng.dirichlet(np.ones(n * n))
+        P = sum(w * permutation_matrix(rng.permutation(n)) for w in weights)
+        result = decompose(P)
+        assert len(result.terms) == term_bound(n)
+        np.testing.assert_allclose(reconstruct(result), P, rtol=0.0, atol=1e-9)
+
+    def test_step_capped_at_one_is_the_last(self):
+        # every line holds 1 + 4.8e-7, so the identity's entries of
+        # 1 + 3e-7 cap its weight at 1; nothing is zeroed and the rest,
+        # below TOLERANCE, is residual rather than a second term
+        P = (1 + 3e-7) * np.eye(3) + 0.9e-7 * (np.ones((3, 3)) - np.eye(3))
+        result = decompose(P)
+        assert len(result.terms) == 1
+        assert result.terms[0].theta == 1.0
+        np.testing.assert_array_equal(result.terms[0].ranking, [0, 1, 2])
+        assert result.residual == pytest.approx(4.8e-7, rel=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(witness_instances(), st.sampled_from(["demographic-parity", "disparate-impact"]))
+    def test_every_solved_matrix_decomposes(self, problem, notion):
+        report = solve_problem(problem, [NOTIONS[notion](problem, "A", "B")])
+        assert report.status == "optimal"
+        result = decompose(report.matrix.entries)
+        assert len(result.terms) <= term_bound(problem.n)
+        gap = float(np.abs(reconstruct(result) - report.matrix.entries).max())
+        assert gap <= result.residual + TOLERANCE
