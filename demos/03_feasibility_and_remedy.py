@@ -14,7 +14,7 @@ from fairexposure import (
     Item,
     PositionBias,
     RankingProblem,
-    check_dt_feasibility,
+    check_feasibility,
     disparate_treatment,
     solve_problem,
 )
@@ -30,7 +30,7 @@ def build_problem(fillers: int) -> RankingProblem:
 
 
 def describe(problem: RankingProblem) -> None:
-    verdict = check_dt_feasibility(problem, "A", "B")
+    verdict = check_feasibility(problem, "disparate-treatment", "A", "B")
     low, high = verdict.attainable_range
     print(f"  ranking length          : {problem.n}")
     print(f"  required exposure ratio : {verdict.required_ratio:.4f}")

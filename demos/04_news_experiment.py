@@ -17,7 +17,6 @@ from fairexposure import (
     disparate_impact,
     disparate_treatment,
     evaluate,
-    group_stats,
     load_synthetic_news,
     solve_problem,
 )
@@ -28,15 +27,16 @@ def main() -> None:
     problem = RankingProblem(
         items=items, position_bias=PositionBias.log_discount(len(items))
     )
+    unconstrained = solve_problem(problem, [])
+    baseline = evaluate(unconstrained.matrix, problem)
     for label in ("A", "B"):
-        stats = group_stats(problem, label)
+        stats = baseline.group(label)
         print(
             f"group {label}: {stats.size} articles, "
             f"mean utility {stats.mean_utility:.4f}"
         )
     print()
 
-    unconstrained = solve_problem(problem, [])
     policies = [
         ("demographic parity", [demographic_parity(problem, "A", "B")]),
         ("disparate impact", [disparate_impact(problem, "A", "B")]),

@@ -28,11 +28,9 @@ from .bvn import BvnDecomposition, BvnTerm, decompose, reconstruct, term_bound
 from .constraints import (
     NOTIONS,
     FairnessConstraint,
-    GroupStats,
     demographic_parity,
     disparate_impact,
     disparate_treatment,
-    group_stats,
     multi_group_constraints,
 )
 from .core import (
@@ -40,10 +38,8 @@ from .core import (
     Item,
     PositionBias,
     RankingProblem,
-    exposure,
     group_exposure,
     permutation_matrix,
-    position_bias_vector,
     prp_ranking,
     stochastic_violation,
     utility,
@@ -56,12 +52,7 @@ from .datasets import (
     synthetic_news_items,
     write_items_csv,
 )
-from .feasibility import (
-    FeasibilityVerdict,
-    check_dt_feasibility,
-    check_feasibility,
-    dt_exposure_ratio_range,
-)
+from .feasibility import FeasibilityVerdict, check_feasibility, dt_exposure_ratio_range
 from .lp import (
     LinearProgram,
     NumericalFailure,
@@ -71,23 +62,8 @@ from .lp import (
     solve,
     solve_problem,
 )
-from .metrics import (
-    GroupMetrics,
-    MetricsReport,
-    cost_of_fairness,
-    disparate_impact_ratio,
-    disparate_treatment_ratio,
-    evaluate,
-    group_ctr,
-)
-from .sampler import (
-    hash_user_key,
-    sample,
-    sample_for_user,
-    sample_index,
-    sample_indices,
-    user_fraction,
-)
+from .metrics import GroupMetrics, MetricsReport, evaluate
+from .sampler import hash_user_key, sample_for_user, sample_indices
 from .simulator import GroupSimulation, SimulationReport, simulate
 
 __version__ = "0.1.0"
@@ -100,7 +76,6 @@ __all__ = [
     "FeasibilityVerdict",
     "GroupMetrics",
     "GroupSimulation",
-    "GroupStats",
     "Item",
     "LinearProgram",
     "MetricsReport",
@@ -111,42 +86,31 @@ __all__ = [
     "SimulationReport",
     "SolveReport",
     "build_lp",
-    "check_dt_feasibility",
     "check_feasibility",
-    "cost_of_fairness",
     "decompose",
     "demographic_parity",
     "disparate_impact",
-    "disparate_impact_ratio",
     "disparate_treatment",
-    "disparate_treatment_ratio",
     "dt_exposure_ratio_range",
     "dump_lp",
     "evaluate",
-    "exposure",
-    "group_ctr",
     "group_exposure",
-    "group_stats",
     "hash_user_key",
     "jobseeker_items",
     "load_jobseeker",
     "load_synthetic_news",
     "multi_group_constraints",
     "permutation_matrix",
-    "position_bias_vector",
     "prp_ranking",
     "read_items_csv",
     "reconstruct",
-    "sample",
     "sample_for_user",
-    "sample_index",
     "sample_indices",
     "solve",
     "solve_problem",
     "stochastic_violation",
     "synthetic_news_items",
     "term_bound",
-    "user_fraction",
     "utility",
     "write_items_csv",
     "__version__",

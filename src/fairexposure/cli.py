@@ -201,7 +201,7 @@ def _print_json(payload: dict) -> None:
 
 def _symmetric(ratio: Optional[float]) -> Optional[float]:
     """min(r, 1/r): 1 means parity, smaller means further from it."""
-    if ratio is None or ratio == 0.0:
+    if ratio is None:
         return None
     return min(ratio, 1.0 / ratio)
 

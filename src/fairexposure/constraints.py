@@ -12,7 +12,7 @@ bias, and whose right-hand side is 0.  Three notions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +21,6 @@ from .core import MatrixLike, RankingProblem, as_matrix
 
 __all__ = [
     "FairnessConstraint",
-    "GroupStats",
-    "group_stats",
     "demographic_parity",
     "disparate_treatment",
     "disparate_impact",
@@ -77,24 +75,29 @@ class FairnessConstraint:
         return max(0.0, -gap)
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    """Size and mean utility of one group."""
-
-    label: str
-    size: int
-    mean_utility: float
-
-
-def group_stats(problem: RankingProblem, group: str) -> GroupStats:
-    idx = problem.group_indices(group)
-    return GroupStats(group, int(idx.size), float(problem.utilities[idx].mean()))
-
-
 def _membership(problem: RankingProblem, group_a: str, group_b: str):
     if group_a == group_b:
         raise ValueError(f"the two groups must differ, both are {group_a!r}")
     return problem.group_indices(group_a), problem.group_indices(group_b)
+
+
+def _utility_groups(problem: RankingProblem, group_a: str, group_b: str):
+    """Indices and mean utilities of two groups, both means positive.
+
+    Exposure proportional to utility is undefined for a zero-mean group.
+    """
+    indices = _membership(problem, group_a, group_b)
+    utilities = problem.utilities
+    means = []
+    for group, idx in zip((group_a, group_b), indices):
+        mean = float(utilities[idx].mean())
+        if mean <= 0.0:
+            raise ValueError(
+                "exposure proportional to utility is undefined: "
+                f"group {group!r} has zero mean utility"
+            )
+        means.append(mean)
+    return indices, means
 
 
 def demographic_parity(
@@ -122,9 +125,7 @@ def disparate_treatment(
     Rejects groups with zero mean utility, for which the proportionality
     target is undefined.
     """
-    idx_a, idx_b = _membership(problem, group_a, group_b)
-    mean_a = problem.positive_mean_utility(group_a, "exposure proportional to utility")
-    mean_b = problem.positive_mean_utility(group_b, "exposure proportional to utility")
+    (idx_a, idx_b), (mean_a, mean_b) = _utility_groups(problem, group_a, group_b)
     f = np.zeros(problem.n)
     f[idx_a] = 1.0 / (idx_a.size * mean_a)
     f[idx_b] = -1.0 / (idx_b.size * mean_b)

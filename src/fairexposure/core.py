@@ -11,7 +11,7 @@ exposure of item ``i`` is ``P[i, :] @ v``.
 Rankings are represented throughout as arrays of item indices ordered by
 rank: ``ranking[j]`` is the item shown at rank ``j`` (0-indexed storage;
 formulas use 1-indexed ranks, converted only inside
-:func:`position_bias_vector`).
+:class:`PositionBias`'s factories).
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ __all__ = [
     "PositionBias",
     "RankingProblem",
     "DoublyStochasticMatrix",
-    "position_bias_vector",
     "permutation_matrix",
     "prp_ranking",
     "utility",
-    "exposure",
     "group_exposure",
     "stochastic_violation",
 ]
@@ -70,31 +68,13 @@ class Item:
             )
 
 
-def position_bias_vector(
-    n: int,
-    kind: str = "log-discount",
-    base: Union[str, float] = "natural",
-    k: int | None = None,
-) -> np.ndarray:
-    """Return the position-bias vector ``v`` of length ``n``.
-
-    ``kind="log-discount"`` gives ``v[j] = 1 / log_base(1 + j)`` with ranks
-    1-indexed; ``kind="dcg@k"`` additionally zeroes all entries beyond rank
-    ``k``.  The default base is the natural logarithm (base 2 selectable).
-    """
+def _log_discount(n: int, base: Union[str, float]) -> np.ndarray:
+    """``v[j] = 1 / log_base(1 + j)`` over the 1-indexed ranks of ``n`` positions."""
     if n < 1:
         raise ValueError(f"ranking length must be positive, got {n}")
     b = _resolve_base(base)
     ranks = np.arange(1, n + 1, dtype=float)
-    v = 1.0 / (np.log(1.0 + ranks) / math.log(b))
-    if kind == "log-discount":
-        return v
-    if kind == "dcg@k":
-        if k is None or not 1 <= k <= n:
-            raise ValueError(f"cutoff k must satisfy 1 <= k <= {n}, got {k}")
-        v[k:] = 0.0
-        return v
-    raise ValueError(f"unknown position-bias kind {kind!r}")
+    return 1.0 / (np.log(1.0 + ranks) / math.log(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,11 +103,17 @@ class PositionBias:
 
     @classmethod
     def log_discount(cls, n: int, base: Union[str, float] = "natural") -> "PositionBias":
-        return cls("log-discount", position_bias_vector(n, "log-discount", base))
+        """``v[j] = 1 / log_base(1 + j)`` with ranks 1-indexed (natural log by default)."""
+        return cls("log-discount", _log_discount(n, base))
 
     @classmethod
     def dcg_at_k(cls, n: int, k: int, base: Union[str, float] = "natural") -> "PositionBias":
-        return cls("dcg@k", position_bias_vector(n, "dcg@k", base, k=k))
+        """The log discount with every entry beyond rank ``k`` zeroed."""
+        v = _log_discount(n, base)
+        if not 1 <= k <= n:
+            raise ValueError(f"cutoff k must satisfy 1 <= k <= {n}, got {k}")
+        v[k:] = 0.0
+        return cls("dcg@k", v)
 
     @classmethod
     def explicit(cls, values: Sequence[float]) -> "PositionBias":
@@ -185,16 +171,6 @@ class RankingProblem:
             raise ValueError(f"group {group!r} has no items")
         return idx
 
-    def positive_mean_utility(self, group: str, quantity: str) -> float:
-        """Mean utility of ``group``, for a ``quantity`` that divides by it.
-
-        Raises when the mean is zero, since ``quantity`` is then undefined.
-        """
-        mean = float(self.utilities[self.group_indices(group)].mean())
-        if mean <= 0.0:
-            raise ValueError(f"{quantity} is undefined: group {group!r} has zero mean utility")
-        return mean
-
     def group_pair_or_default(
         self, group_pair: Optional[tuple[str, str]]
     ) -> Optional[tuple[str, str]]:
@@ -246,14 +222,6 @@ class DoublyStochasticMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def max_violation(self) -> float:
-        return stochastic_violation(self.entries)
-
-    @classmethod
-    def from_ranking(cls, ranking: Sequence[int]) -> "DoublyStochasticMatrix":
-        """The deterministic matrix placing ``ranking[j]`` at rank ``j``."""
-        return cls(permutation_matrix(ranking))
-
     @classmethod
     def uniform(cls, n: int) -> "DoublyStochasticMatrix":
         return cls(np.full((n, n), 1.0 / n))
@@ -299,15 +267,6 @@ def utility(P: MatrixLike, problem: RankingProblem) -> float:
     m = as_matrix(P)
     _check_dimensions(m, problem.n)
     return float(problem.utilities @ m @ problem.bias)
-
-
-def exposure(P: MatrixLike, v: np.ndarray, item_index: int) -> float:
-    """Expected attention received by one item: ``P[i, :] @ v``."""
-    m = as_matrix(P)
-    v = np.asarray(v, dtype=float)
-    if m.shape[1] != v.size:
-        raise ValueError(f"matrix shape {m.shape} does not match bias length {v.size}")
-    return float(m[item_index] @ v)
 
 
 def group_exposure(P: MatrixLike, v: np.ndarray, indices: Iterable[int]) -> float:

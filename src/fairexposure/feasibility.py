@@ -17,13 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import NOTIONS, disparate_treatment
+from .constraints import NOTIONS, _utility_groups
 from .core import RankingProblem
 
 __all__ = [
     "FeasibilityVerdict",
     "dt_exposure_ratio_range",
-    "check_dt_feasibility",
     "check_feasibility",
 ]
 
@@ -111,15 +110,11 @@ def dt_exposure_ratio_range(
     return min_ratio, max_ratio
 
 
-def check_dt_feasibility(
+def _check_dt_feasibility(
     problem: RankingProblem, g0: str, g1: str
 ) -> FeasibilityVerdict:
     """Closed-form feasibility of exposure proportional to mean utility."""
-    disparate_treatment(problem, g0, g1)  # rejects equal, missing and zero-mean groups
-    idx0 = problem.group_indices(g0)
-    idx1 = problem.group_indices(g1)
-    mean0 = problem.positive_mean_utility(g0, "exposure proportional to utility")
-    mean1 = problem.positive_mean_utility(g1, "exposure proportional to utility")
+    (idx0, idx1), (mean0, mean1) = _utility_groups(problem, g0, g1)
     required = mean0 / mean1
     lo, hi = dt_exposure_ratio_range(int(idx0.size), int(idx1.size), problem.bias)
     feasible = lo - 1e-9 <= required <= hi + 1e-9
@@ -143,14 +138,14 @@ def check_feasibility(
 ) -> FeasibilityVerdict:
     """Decide whether ``notion`` between groups ``g0`` and ``g1`` is attainable.
 
-    The notion's constraint is built first, so the groups are checked by
-    the same rules ``solve`` applies (distinct, present, and for the
-    utility-proportional notions, of nonzero mean utility).
+    The groups are checked by the rules the notion's constraint builder
+    applies (distinct, present, and for the utility-proportional notions,
+    of nonzero mean utility), with the same error messages.
     """
     if notion not in NOTIONS:
         raise ValueError(f"unknown fairness notion {notion!r}")
     if notion == "disparate-treatment":
-        return check_dt_feasibility(problem, g0, g1)
+        return _check_dt_feasibility(problem, g0, g1)
     NOTIONS[notion](problem, g0, g1)
     return FeasibilityVerdict(
         feasible=True,

@@ -1,16 +1,20 @@
 """Utility and fairness diagnostics for a probabilistic ranking.
 
-Exposure is attention allocated by rank; clickthrough couples that
-attention with relevance (a click requires examining the position and
-finding the item relevant).  The two disparity ratios compare groups
-after normalizing by mean utility:
+:func:`evaluate` is the one path to every metric of a matrix.  It reads
+each group's exposure and clickthrough once: exposure is attention
+allocated by rank, and clickthrough couples that attention with relevance
+(a click requires examining the position and finding the item relevant).
+The two disparity ratios compare a group pair after normalizing by mean
+utility:
 
 * disparate treatment ratio: (Exposure(G0)/mean_u(G0)) / (Exposure(G1)/mean_u(G1))
 * disparate impact ratio:    (CTR(G0)/mean_u(G0)) / (CTR(G1)/mean_u(G1))
 
-Both equal 1 exactly when the corresponding constraint holds.  The cost
-of fairness is the utility given up relative to the unconstrained
-optimum.
+Both equal 1 exactly when the corresponding constraint holds, and both
+are None where undefined: a group of zero mean utility, or of zero
+exposure or clickthrough.  The simulator estimates them under the same
+rule.  The cost of fairness is the utility given up relative to the
+unconstrained optimum.
 """
 
 from __future__ import annotations
@@ -20,17 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TOLERANCE, MatrixLike, RankingProblem, as_matrix, group_exposure, utility
+from .core import TOLERANCE, MatrixLike, RankingProblem, as_matrix, utility
 
-__all__ = [
-    "GroupMetrics",
-    "MetricsReport",
-    "group_ctr",
-    "disparate_treatment_ratio",
-    "disparate_impact_ratio",
-    "cost_of_fairness",
-    "evaluate",
-]
+__all__ = ["GroupMetrics", "MetricsReport", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -46,12 +42,14 @@ class GroupMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Full diagnostic bundle for one matrix.
+    """Full diagnostic bundle for one matrix, as :func:`evaluate` builds it.
 
-    ``dtr``/``dir`` compare ``group_pair`` and are None when no pair was
-    requested.  ``cof`` is present only when a reference optimum was
-    supplied, and may not be meaningfully negative (the reference must
-    dominate every feasible matrix).
+    ``dtr``/``dir`` compare ``group_pair``.  They are None when no pair
+    was requested, and when the ratio is undefined: either group has zero
+    mean utility, or zero exposure (``dtr``) or clickthrough (``dir``).
+    ``cof`` is present only when a reference optimum was supplied, and
+    may not be meaningfully negative (the reference must dominate every
+    feasible matrix).
     """
 
     dcg: float
@@ -100,57 +98,17 @@ class MetricsReport:
         return out
 
 
-def group_ctr(P: MatrixLike, problem: RankingProblem, group: str) -> float:
-    """Mean expected clickthrough over the group's items.
+def _utility_ratio(
+    value0: float, mean0: float, value1: float, mean1: float
+) -> Optional[float]:
+    """``(value0/mean0) / (value1/mean1)``, or None where it is undefined.
 
-    An item's expected clickthrough is its utility times its exposure
-    (examine, then click if relevant).
+    Undefined means either mean utility is <= 0 or either value is 0; the
+    analytic metrics and the simulator's estimates share this rule.
     """
-    idx = problem.group_indices(group)
-    m = as_matrix(P)
-    if m.shape[0] != problem.n:
-        raise ValueError(f"matrix shape {m.shape} does not match problem size {problem.n}")
-    exposures = m[idx] @ problem.bias
-    return float(np.mean(problem.utilities[idx] * exposures))
-
-
-def disparate_treatment_ratio(
-    P: MatrixLike, problem: RankingProblem, g0: str, g1: str
-) -> float:
-    """Exposure-per-utility ratio of ``g0`` relative to ``g1``; 1 is fair."""
-    mean0 = problem.positive_mean_utility(g0, "disparate treatment ratio")
-    mean1 = problem.positive_mean_utility(g1, "disparate treatment ratio")
-    m = as_matrix(P)
-    v = problem.bias
-    e0 = group_exposure(m, v, problem.group_indices(g0))
-    e1 = group_exposure(m, v, problem.group_indices(g1))
-    if e1 == 0.0:
-        raise ValueError(
-            f"disparate treatment ratio is undefined: group {g1!r} has zero exposure"
-        )
-    return (e0 / mean0) / (e1 / mean1)
-
-
-def disparate_impact_ratio(
-    P: MatrixLike, problem: RankingProblem, g0: str, g1: str
-) -> float:
-    """Clickthrough-per-utility ratio of ``g0`` relative to ``g1``; 1 is fair."""
-    mean0 = problem.positive_mean_utility(g0, "disparate impact ratio")
-    mean1 = problem.positive_mean_utility(g1, "disparate impact ratio")
-    ctr0 = group_ctr(P, problem, g0)
-    ctr1 = group_ctr(P, problem, g1)
-    if ctr1 == 0.0:
-        raise ValueError(
-            f"disparate impact ratio is undefined: group {g1!r} has zero clickthrough"
-        )
-    return (ctr0 / mean0) / (ctr1 / mean1)
-
-
-def cost_of_fairness(
-    P_star: MatrixLike, P: MatrixLike, problem: RankingProblem
-) -> float:
-    """Utility surrendered by ``P`` relative to the optimum ``P_star``."""
-    return utility(P_star, problem) - utility(P, problem)
+    if mean0 <= 0.0 or mean1 <= 0.0 or value0 == 0.0 or value1 == 0.0:
+        return None
+    return (value0 / mean0) / (value1 / mean1)
 
 
 def evaluate(
@@ -167,30 +125,34 @@ def evaluate(
     cost-of-fairness entry and must be the unconstrained optimum.
     """
     m = as_matrix(P)
+    dcg = utility(m, problem)
     group_pair = problem.group_pair_or_default(group_pair)
-    groups = []
+    u, v = problem.utilities, problem.bias
+    groups = {}
     for label in problem.group_labels:
         idx = problem.group_indices(label)
-        groups.append(
-            GroupMetrics(
-                label=label,
-                size=int(idx.size),
-                mean_utility=float(problem.utilities[idx].mean()),
-                exposure=group_exposure(m, problem.bias, idx),
-                ctr=group_ctr(m, problem, label),
-            )
+        exposures = m[idx] @ v
+        groups[label] = GroupMetrics(
+            label=label,
+            size=int(idx.size),
+            mean_utility=float(u[idx].mean()),
+            exposure=float(np.mean(exposures)),
+            # an item is clicked when examined and found relevant
+            ctr=float(np.mean(u[idx] * exposures)),
         )
     dtr_value = dir_value = None
     if group_pair is not None:
-        g0, g1 = group_pair
-        dtr_value = disparate_treatment_ratio(m, problem, g0, g1)
-        dir_value = disparate_impact_ratio(m, problem, g0, g1)
+        for label in group_pair:
+            problem.group_indices(label)  # a label no item carries raises
+        g0, g1 = groups[group_pair[0]], groups[group_pair[1]]
+        dtr_value = _utility_ratio(g0.exposure, g0.mean_utility, g1.exposure, g1.mean_utility)
+        dir_value = _utility_ratio(g0.ctr, g0.mean_utility, g1.ctr, g1.mean_utility)
     cof_value = None
     if reference is not None:
-        cof_value = cost_of_fairness(reference, m, problem)
+        cof_value = utility(reference, problem) - dcg
     return MetricsReport(
-        dcg=utility(m, problem),
-        groups=tuple(groups),
+        dcg=dcg,
+        groups=tuple(groups.values()),
         group_pair=group_pair,
         dtr=dtr_value,
         dir=dir_value,

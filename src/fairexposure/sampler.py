@@ -1,9 +1,11 @@
 """Sampling concrete rankings from a permutation mixture.
 
-``sample`` draws a term at random with probability proportional to its
-weight.  ``sample_for_user`` replaces the random draw with a hash of the
-user's identity, so the same user always sees the same ranking while the
-population as a whole still realizes the mixture weights.
+``sample_indices`` draws terms at random with probability proportional to
+their weights.  ``sample_for_user`` replaces the random draw with a hash
+of the user's identity, so the same user always sees the same ranking
+while the population as a whole still realizes the mixture weights.
+Both, and the simulator, map a fraction in [0, 1) to a term by the same
+inverse-CDF lookup.
 
 The user hash is pinned for cross-platform reproducibility: FNV-1a
 (64-bit, offset basis 0xcbf29ce484222325, prime 0x100000001b3) over the
@@ -20,15 +22,7 @@ import numpy as np
 
 from .bvn import BvnDecomposition
 
-__all__ = [
-    "hash_user_key",
-    "user_fraction",
-    "term_index_for_fraction",
-    "sample_index",
-    "sample",
-    "sample_indices",
-    "sample_for_user",
-]
+__all__ = ["hash_user_key", "sample_indices", "sample_for_user"]
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -51,26 +45,13 @@ def hash_user_key(key: Union[str, bytes]) -> int:
     return h ^ (h >> 31)
 
 
-def user_fraction(key: Union[str, bytes]) -> float:
-    """Map a user key to a deterministic fraction in [0, 1)."""
-    return hash_user_key(key) / 2.0**64
-
-
-def term_index_for_fraction(decomposition: BvnDecomposition, t: float) -> int:
-    """Inverse-CDF lookup of the term owning fraction ``t``.
+def _term_index(decomposition: BvnDecomposition, t: Union[float, np.ndarray]):
+    """Inverse-CDF lookup of the term owning each fraction in ``t``.
 
     A fraction landing exactly on a cumulative boundary resolves to the
     lower index.
     """
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"fraction must lie in [0, 1), got {t}")
-    return int(np.searchsorted(decomposition.cumulative_weights, t, side="left"))
-
-
-def sample_index(decomposition: BvnDecomposition, rng: RngLike = None) -> int:
-    """Draw one term index with probability proportional to its weight."""
-    t = float(np.random.default_rng(rng).random())
-    return term_index_for_fraction(decomposition, t)
+    return np.searchsorted(decomposition.cumulative_weights, t, side="left")
 
 
 def sample_indices(
@@ -79,16 +60,10 @@ def sample_indices(
     """Draw ``count`` term indices from one stream (vectorized)."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    draws = np.random.default_rng(rng).random(count)
-    return np.searchsorted(decomposition.cumulative_weights, draws, side="left")
-
-
-def sample(decomposition: BvnDecomposition, rng: RngLike = None) -> np.ndarray:
-    """Sample one ranking; ``ranking[j]`` is the item at rank j."""
-    return decomposition.terms[sample_index(decomposition, rng)].ranking
+    return _term_index(decomposition, np.random.default_rng(rng).random(count))
 
 
 def sample_for_user(decomposition: BvnDecomposition, user_key: Union[str, bytes]) -> np.ndarray:
     """Deterministic ranking for one user: same key, same ranking, always."""
-    index = term_index_for_fraction(decomposition, user_fraction(user_key))
+    index = _term_index(decomposition, hash_user_key(user_key) / 2.0**64)
     return decomposition.terms[index].ranking

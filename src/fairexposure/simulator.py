@@ -29,6 +29,8 @@ from numpy.random import Generator, Philox
 
 from .bvn import BvnDecomposition
 from .core import RankingProblem
+from .metrics import _utility_ratio
+from .sampler import _term_index
 
 __all__ = ["GroupSimulation", "SimulationReport", "simulate"]
 
@@ -126,14 +128,13 @@ def _ratio_with_se(
     """Delta-method estimate of (mean_a/norm0)/(mean_b/norm1).
 
     ``cross`` is the running sum of the per-user products of a and b.
+    The ratio is None where ``evaluate``'s would be undefined.
     """
-    if norm0 <= 0.0 or norm1 <= 0.0:
-        return None, None
     m0 = a.s / n
     m1 = b.s / n
-    if m1 == 0.0 or m0 == 0.0:
+    ratio = _utility_ratio(m0, norm0, m1, norm1)
+    if ratio is None:
         return None, None
-    ratio = (m0 / norm0) / (m1 / norm1)
     if n < 2:
         return ratio, None
     var0 = max(a.ss / n - m0 * m0, 0.0) / n
@@ -178,7 +179,6 @@ def simulate(
     scale = 1.0 / vmax if vmax > 1.0 else 1.0
     v_prob = v * scale
 
-    cum = decomposition.cumulative_weights
     rankings = [t.ranking for t in decomposition.terms]
     inverses = []
     for ranking in rankings:
@@ -199,7 +199,7 @@ def simulate(
         count = min(_CHUNK, n_users - chunk * _CHUNK)
         rng = Generator(Philox(key=np.array([seed, chunk], dtype=np.uint64)))
         block = rng.random((count, draws_per_user))
-        term_of_user = np.searchsorted(cum, block[:, 0], side="left")
+        term_of_user = _term_index(decomposition, block[:, 0])
         exam_draw = block[:, 1 : n + 1]
         click_draw = block[:, n + 1 :]
 

@@ -24,15 +24,12 @@ from fairexposure.core import (
     group_exposure,
     permutation_matrix,
     prp_ranking,
+    stochastic_violation,
 )
 from fairexposure.datasets import load_jobseeker, load_synthetic_news
-from fairexposure.feasibility import check_dt_feasibility
+from fairexposure.feasibility import check_feasibility
 from fairexposure.lp import solve_problem
-from fairexposure.metrics import (
-    cost_of_fairness,
-    disparate_impact_ratio,
-    disparate_treatment_ratio,
-)
+from fairexposure.metrics import evaluate
 from fairexposure.simulator import simulate
 
 from .test_core import random_doubly_stochastic
@@ -107,14 +104,14 @@ def test_criterion_2_parity_objective_and_decomposition():
 def test_criterion_3_treatment_ratio_and_objective_ordering():
     problem = jobseeker_problem()
     prp = permutation_matrix(prp_ranking(problem))
-    prp_dtr = disparate_treatment_ratio(prp, problem, "M", "F")
+    prp_dtr = evaluate(prp, problem).dtr
     assert abs(prp_dtr - 1.7483) <= 1e-3
 
     unconstrained = solve_problem(problem, [])
     parity = solve_problem(problem, [demographic_parity(problem, "M", "F")])
     treatment = solve_problem(problem, [disparate_treatment(problem, "M", "F")])
     assert treatment.optimal
-    dtr = disparate_treatment_ratio(treatment.matrix, problem, "M", "F")
+    dtr = evaluate(treatment.matrix, problem).dtr
     assert abs(dtr - 1.0) <= 1e-5
     assert parity.objective < treatment.objective < unconstrained.objective
     return (
@@ -130,9 +127,10 @@ def test_criterion_4_impact_ratio_and_cost():
     unconstrained = solve_problem(problem, [])
     impact = solve_problem(problem, [disparate_impact(problem, "M", "F")])
     assert impact.optimal
-    dir_value = disparate_impact_ratio(impact.matrix, problem, "M", "F")
+    metrics = evaluate(impact.matrix, problem, reference=unconstrained.matrix)
+    dir_value = metrics.dir
     assert abs(dir_value - 1.0) <= 1e-5
-    cof = cost_of_fairness(unconstrained.matrix, impact.matrix, problem)
+    cof = metrics.cof
     assert cof >= 0.0
     return f"DIR {dir_value:.8f} (target 1 ± 1e-5), CoF {cof:.6f} ≥ 0"
 
@@ -163,8 +161,9 @@ def test_criterion_5_property_suite_on_random_instances():
         # (a) + (d): unconstrained solve is doubly stochastic and matches PRP
         unconstrained = solve_problem(problem, [])
         assert unconstrained.optimal
-        max_ds_violation = max(max_ds_violation, unconstrained.matrix.max_violation())
-        assert unconstrained.matrix.max_violation() <= 1e-6
+        violation = stochastic_violation(unconstrained.matrix.entries)
+        max_ds_violation = max(max_ds_violation, violation)
+        assert violation <= 1e-6
         prp = permutation_matrix(prp_ranking(problem))
         np.testing.assert_allclose(
             unconstrained.matrix.entries, prp, atol=1e-6, rtol=0
@@ -174,14 +173,14 @@ def test_criterion_5_property_suite_on_random_instances():
         # correctly infeasible, and the closed-form verdict matches
         constraint = disparate_treatment(problem, "G0", "G1")
         constrained = solve_problem(problem, [constraint])
-        verdict = check_dt_feasibility(problem, "G0", "G1")
+        verdict = check_feasibility(problem, "disparate-treatment", "G0", "G1")
         assert verdict.feasible == constrained.optimal
         if constrained.optimal:
             residual = constraint.residual(constrained.matrix.entries)
             max_residual = max(max_residual, residual)
             assert residual <= 1e-6
             max_ds_violation = max(
-                max_ds_violation, constrained.matrix.max_violation()
+                max_ds_violation, stochastic_violation(constrained.matrix.entries)
             )
         else:
             infeasible_count += 1
@@ -263,13 +262,13 @@ def test_criterion_8_adversarial_infeasibility_and_remedy():
 
     bare = build(0)
     constraint = disparate_treatment(bare, "A", "B")
-    verdict = check_dt_feasibility(bare, "A", "B")
+    verdict = check_feasibility(bare, "disparate-treatment", "A", "B")
     report = solve_problem(bare, [constraint])
     assert not verdict.feasible
     assert report.status == "infeasible"
 
     padded = build(6)
-    padded_verdict = check_dt_feasibility(padded, "A", "B")
+    padded_verdict = check_feasibility(padded, "disparate-treatment", "A", "B")
     padded_report = solve_problem(
         padded, [disparate_treatment(padded, "A", "B")]
     )

@@ -19,6 +19,8 @@ from fairexposure.bvn import (
 from fairexposure.constraints import NOTIONS, demographic_parity
 from fairexposure.core import TOLERANCE, DoublyStochasticMatrix, permutation_matrix
 from fairexposure.lp import solve_problem
+from fairexposure.metrics import evaluate
+from fairexposure.simulator import simulate
 
 from .test_core import make_problem
 from .test_feasibility import witness_instances
@@ -321,3 +323,24 @@ class TestTermBound:
         assert len(result.terms) <= term_bound(problem.n)
         gap = float(np.abs(reconstruct(result) - report.matrix.entries).max())
         assert gap <= result.residual + TOLERANCE
+
+
+class TestSolvedPipeline:
+    """solve -> decompose -> evaluate -> simulate on degenerate instances."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(witness_instances(), st.sampled_from(["demographic-parity", "disparate-impact"]))
+    def test_certified_matrix_evaluates_and_simulates(self, problem, notion):
+        report = solve_problem(problem, [NOTIONS[notion](problem, "A", "B")])
+        assert report.status == "optimal"
+        metrics = evaluate(report.matrix, problem, group_pair=("A", "B"))
+        a, b = metrics.group("A"), metrics.group("B")
+        if notion == "demographic-parity":
+            assert abs(a.exposure - b.exposure) <= 1e-6
+        else:
+            assert metrics.dir is None or abs(metrics.dir - 1.0) <= 1e-6
+        lottery = decompose(report.matrix)
+        simulated = simulate(lottery, problem, n_users=200, seed=0, group_pair=("A", "B"))
+        assert simulated.n_users == 200
+        for ratio in (simulated.dtr, simulated.dir):
+            assert ratio is None or np.isfinite(ratio)

@@ -21,7 +21,6 @@ from fairexposure.core import (
     PositionBias,
     RankingProblem,
     permutation_matrix,
-    position_bias_vector,
     prp_ranking,
     stochastic_violation,
     utility,
@@ -115,8 +114,9 @@ class TestSolve:
 
     def test_dcg_bias_flag(self, run, jobseeker_file):
         payload = solve_json(run, jobseeker_file, "--bias", "dcg:2:3")
-        expected = position_bias_vector(6, "dcg@k", base=2, k=3)
-        np.testing.assert_allclose(payload["problem"]["bias"]["values"], expected)
+        expected = PositionBias.dcg_at_k(6, k=3, base=2)
+        assert payload["problem"]["bias"]["kind"] == expected.kind
+        np.testing.assert_allclose(payload["problem"]["bias"]["values"], expected.values)
 
     def test_three_group_chain(self, run, tmp_path):
         path = tmp_path / "three.csv"
@@ -420,6 +420,22 @@ class TestEvaluate:
         dtr_mf = json.loads(out_mf)["dtr"]
         dtr_fm = json.loads(out_fm)["dtr"]
         assert dtr_mf * dtr_fm == pytest.approx(1.0, abs=1e-9)
+
+    def test_undefined_ratio_is_null_as_in_simulate(self, run, jobseeker_file):
+        # dcg@3 leaves all of F in the zero tail: F has no exposure or clicks
+        solution = json.dumps(solve_json(run, jobseeker_file, "--bias", "dcg:e:3"))
+        code, out, err = run(["evaluate"], stdin_text=solution)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["groups"]["F"]["exposure"] == 0.0
+        for key in ("dtr", "dir", "dtr_symmetric", "dir_symmetric"):
+            assert payload[key] is None
+        code, out, err = run(["decompose"], stdin_text=solution)
+        assert code == 0, err
+        code, out, err = run(["simulate", "--users", "1000"], stdin_text=out)
+        assert code == 0, err
+        simulated = json.loads(out)
+        assert simulated["dtr"] is None and simulated["dir"] is None
 
     def test_infeasible_solution_rejected(self, run):
         code, _, err = run(

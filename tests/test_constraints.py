@@ -10,7 +10,6 @@ from fairexposure.constraints import (
     demographic_parity,
     disparate_impact,
     disparate_treatment,
-    group_stats,
     multi_group_constraints,
 )
 from fairexposure.core import DoublyStochasticMatrix, permutation_matrix
@@ -51,12 +50,10 @@ class TestFairnessConstraint:
 
 class TestGroupStats:
     def test_jobseeker_means(self):
-        problem = make_problem()
-        m = group_stats(problem, "M")
-        f = group_stats(problem, "F")
-        assert (m.size, f.size) == (3, 3)
-        assert m.mean_utility == pytest.approx(0.81)
-        assert f.mean_utility == pytest.approx(0.78)
+        # the treatment row weights a member by 1 / (group size * mean utility)
+        c = disparate_treatment(make_problem(), "M", "F")
+        expected = [1 / (3 * 0.81)] * 3 + [-1 / (3 * 0.78)] * 3
+        np.testing.assert_allclose(c.f, expected, rtol=1e-12)
 
 
 class TestDemographicParity:

@@ -10,10 +10,8 @@ from fairexposure.core import (
     Item,
     PositionBias,
     RankingProblem,
-    exposure,
     group_exposure,
     permutation_matrix,
-    position_bias_vector,
     prp_ranking,
     stochastic_violation,
     utility,
@@ -47,30 +45,33 @@ def make_problem(
 
 class TestPositionBiasVector:
     def test_natural_log_values(self):
-        np.testing.assert_allclose(position_bias_vector(6), V_NATURAL_6, atol=1e-9)
+        v = PositionBias.log_discount(6).values
+        np.testing.assert_allclose(v, V_NATURAL_6, atol=1e-9)
 
     def test_log2_values(self):
-        v = position_bias_vector(3, base=2)
+        v = PositionBias.log_discount(3, base=2).values
         np.testing.assert_allclose(v, [1.0, 0.630929754, 0.5], atol=1e-8)
         # base 2 rescales the natural-log vector by ln 2
-        np.testing.assert_allclose(v, position_bias_vector(3) * np.log(2), atol=1e-12)
+        natural = PositionBias.log_discount(3).values
+        np.testing.assert_allclose(v, natural * np.log(2), atol=1e-12)
 
     def test_dcg_cutoff_zeroes_tail(self):
-        v = position_bias_vector(4, kind="dcg@k", base=2, k=2)
-        np.testing.assert_allclose(v, [1.0, 0.630929754, 0.0, 0.0], atol=1e-8)
+        bias = PositionBias.dcg_at_k(4, k=2, base=2)
+        assert bias.kind == "dcg@k"
+        np.testing.assert_allclose(bias.values, [1.0, 0.630929754, 0.0, 0.0], atol=1e-8)
 
     def test_single_position(self):
-        np.testing.assert_allclose(position_bias_vector(1, base=2), [1.0])
+        np.testing.assert_allclose(PositionBias.log_discount(1, base=2).values, [1.0])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="length must be positive"):
-            position_bias_vector(0)
-        with pytest.raises(ValueError, match="kind"):
-            position_bias_vector(3, kind="zipf")
+            PositionBias.log_discount(0)
         with pytest.raises(ValueError, match="log base"):
-            position_bias_vector(3, base=10)
+            PositionBias.log_discount(3, base=10)
         with pytest.raises(ValueError, match="cutoff k"):
-            position_bias_vector(3, kind="dcg@k", k=0)
+            PositionBias.dcg_at_k(3, k=0)
+        with pytest.raises(ValueError, match="cutoff k"):
+            PositionBias.dcg_at_k(3, k=4)
 
 
 class TestPositionBias:
@@ -128,10 +129,10 @@ class TestRankingProblem:
 class TestDoublyStochasticMatrix:
     def test_uniform_is_valid(self):
         P = DoublyStochasticMatrix.uniform(5)
-        assert P.max_violation() == 0.0
+        assert stochastic_violation(P.entries) == 0.0
 
     def test_from_ranking_round_trip(self):
-        P = DoublyStochasticMatrix.from_ranking([2, 0, 1])
+        P = DoublyStochasticMatrix(permutation_matrix([2, 0, 1]))
         np.testing.assert_array_equal(
             P.entries, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
         )
@@ -192,7 +193,7 @@ class TestUtilityAndExposure:
         v = problem.bias
         for _ in range(20):
             P = random_doubly_stochastic(6, rng)
-            total = sum(exposure(P, v, i) for i in range(6))
+            total = float((P @ v).sum())
             assert total == pytest.approx(float(v.sum()), abs=1e-9)
 
     def test_prp_is_utility_optimal(self):

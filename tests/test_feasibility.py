@@ -14,13 +14,8 @@ from fairexposure.core import (
     Item,
     PositionBias,
     RankingProblem,
-    position_bias_vector,
 )
-from fairexposure.feasibility import (
-    check_dt_feasibility,
-    check_feasibility,
-    dt_exposure_ratio_range,
-)
+from fairexposure.feasibility import check_feasibility, dt_exposure_ratio_range
 from fairexposure.lp import solve_problem
 
 from .test_core import make_problem
@@ -34,6 +29,14 @@ JOBSEEKER_REQUIRED = 1.0384615384615385
 # 3 vs 3 with mean utilities 0.9 and 0.45: required ratio 2.0 sits outside
 # the N=6 range above but inside the N=12 range (max 2.5421).
 ADVERSARIAL_UTILITIES = (0.9, 0.9, 0.9, 0.45, 0.45, 0.45)
+
+
+def log_discount(n: int) -> np.ndarray:
+    return PositionBias.log_discount(n).values
+
+
+def check_treatment(problem: RankingProblem, g0: str, g1: str):
+    return check_feasibility(problem, "disparate-treatment", g0, g1)
 
 
 def padded_adversarial_problem(fillers: int) -> RankingProblem:
@@ -50,7 +53,7 @@ def padded_adversarial_problem(fillers: int) -> RankingProblem:
 
 class TestExposureRatioRange:
     def test_three_vs_three_oracle(self):
-        v = position_bias_vector(6)
+        v = log_discount(6)
         lo, hi = dt_exposure_ratio_range(3, 3, v)
         assert hi == pytest.approx(1.81552, abs=1e-4)
         assert (lo, hi) == pytest.approx(RANGE_3V3_N6, abs=1e-9)
@@ -59,13 +62,13 @@ class TestExposureRatioRange:
         assert dt_exposure_ratio_range(1, 1, np.array([1.0, 1.0])) == (1.0, 1.0)
 
     def test_equal_sizes_are_reciprocal(self):
-        v = position_bias_vector(9)
+        v = log_discount(9)
         for size in (1, 2, 4):
             lo, hi = dt_exposure_ratio_range(size, size, v)
             assert lo == pytest.approx(1.0 / hi, abs=1e-12)
 
     def test_unequal_sizes(self):
-        v = position_bias_vector(6)
+        v = log_discount(6)
         lo, hi = dt_exposure_ratio_range(2, 3, v)
         assert hi == pytest.approx(MAX_2V3_N6, abs=1e-9)
         assert lo == pytest.approx(MIN_2V3_N6, abs=1e-9)
@@ -82,19 +85,19 @@ class TestExposureRatioRange:
             n = int(rng.integers(2, 12))
             s0 = int(rng.integers(1, n))
             s1 = int(rng.integers(1, n - s0 + 1))
-            lo, hi = dt_exposure_ratio_range(s0, s1, position_bias_vector(n))
+            lo, hi = dt_exposure_ratio_range(s0, s1, log_discount(n))
             assert lo <= 1.0 + 1e-12 and hi >= 1.0 - 1e-12
 
     def test_widening_tail_never_shrinks_range(self):
         previous = RANGE_3V3_N6
         for n in (8, 10, 12):
-            lo, hi = dt_exposure_ratio_range(3, 3, position_bias_vector(n))
+            lo, hi = dt_exposure_ratio_range(3, 3, log_discount(n))
             assert hi >= previous[1] - 1e-12
             assert lo <= previous[0] + 1e-12
             previous = (lo, hi)
 
     def test_rejects_bad_inputs(self):
-        v = position_bias_vector(4)
+        v = log_discount(4)
         with pytest.raises(ValueError, match="do not fit"):
             dt_exposure_ratio_range(3, 2, v)
         with pytest.raises(ValueError, match="at least 1"):
@@ -107,7 +110,7 @@ class TestExposureRatioRange:
 
 class TestCheckDtFeasibility:
     def test_jobseeker_feasible(self):
-        verdict = check_dt_feasibility(make_problem(), "M", "F")
+        verdict = check_treatment(make_problem(), "M", "F")
         assert verdict.feasible
         assert verdict.method == "closed-form"
         assert verdict.required_ratio == pytest.approx(JOBSEEKER_REQUIRED, abs=1e-12)
@@ -116,38 +119,38 @@ class TestCheckDtFeasibility:
 
     def test_adversarial_infeasible_with_remedy_note(self):
         problem = make_problem(utilities=ADVERSARIAL_UTILITIES)
-        verdict = check_dt_feasibility(problem, "M", "F")
+        verdict = check_treatment(problem, "M", "F")
         assert not verdict.feasible
         assert verdict.required_ratio == pytest.approx(2.0, abs=1e-12)
         assert "neither group" in verdict.note
 
     def test_extreme_ratio_infeasible(self):
         problem = make_problem(utilities=(0.99, 0.99, 0.99, 0.01, 0.01, 0.01))
-        verdict = check_dt_feasibility(problem, "M", "F")
+        verdict = check_treatment(problem, "M", "F")
         assert not verdict.feasible
         assert verdict.required_ratio == pytest.approx(99.0, abs=1e-9)
 
     def test_fillers_restore_feasibility(self):
-        assert not check_dt_feasibility(padded_adversarial_problem(0), "M", "F").feasible
-        verdict = check_dt_feasibility(padded_adversarial_problem(6), "M", "F")
+        assert not check_treatment(padded_adversarial_problem(0), "M", "F").feasible
+        verdict = check_treatment(padded_adversarial_problem(6), "M", "F")
         assert verdict.feasible
         assert verdict.attainable_range[1] == pytest.approx(2.5421295665968042, abs=1e-9)
 
     def test_equal_means_always_feasible(self):
         problem = make_problem(utilities=(0.3, 0.5, 0.7, 0.7, 0.5, 0.3))
-        assert check_dt_feasibility(problem, "M", "F").feasible
+        assert check_treatment(problem, "M", "F").feasible
 
     def test_zero_mean_utility_rejected(self):
         problem = make_problem(utilities=(0.5, 0.5, 0.5, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="zero mean utility"):
-            check_dt_feasibility(problem, "M", "F")
+            check_treatment(problem, "M", "F")
 
     def test_identical_groups_rejected(self):
         with pytest.raises(ValueError, match="the two groups must differ"):
-            check_dt_feasibility(make_problem(), "M", "M")
+            check_treatment(make_problem(), "M", "M")
 
     def test_verdict_serializes(self):
-        verdict = check_dt_feasibility(make_problem(), "M", "F")
+        verdict = check_treatment(make_problem(), "M", "F")
         payload = verdict.to_dict()
         assert payload["feasible"] is True
         assert payload["attainable_range"] == pytest.approx(list(RANGE_3V3_N6))
@@ -223,7 +226,7 @@ class TestOracleEquivalence:
             groups = ("M",) * split + ("F",) * (n - split)
             utilities = tuple(rng.uniform(0.05, 1.0, size=n).round(4))
             problem = make_problem(utilities=utilities, groups=groups)
-            verdict = check_dt_feasibility(problem, "M", "F")
+            verdict = check_treatment(problem, "M", "F")
             report = solve_problem(problem, [disparate_treatment(problem, "M", "F")])
             assert verdict.feasible == (report.status == "optimal")
             checked += 1

@@ -12,14 +12,7 @@ from fairexposure.constraints import (
 )
 from fairexposure.core import DoublyStochasticMatrix, permutation_matrix, prp_ranking
 from fairexposure.lp import solve_problem
-from fairexposure.metrics import (
-    MetricsReport,
-    cost_of_fairness,
-    disparate_impact_ratio,
-    disparate_treatment_ratio,
-    evaluate,
-    group_ctr,
-)
+from fairexposure.metrics import MetricsReport, evaluate
 
 from .test_core import make_problem
 
@@ -32,99 +25,98 @@ CTR_F = 0.44062753687892475
 PRP_UTILITY = 3.8192643340890475
 
 
+def ratios(P, problem, g0="M", g1="F") -> tuple:
+    report = evaluate(P, problem, group_pair=(g0, g1))
+    return report.dtr, report.dir
+
+
+def cof(best, P, problem) -> float:
+    return evaluate(P, problem, reference=best).cof
+
+
 class TestGroupCtr:
     def test_prp_values(self):
-        problem = make_problem()
-        P = np.eye(6)
-        assert group_ctr(P, problem, "M") == pytest.approx(CTR_M, abs=1e-9)
-        assert group_ctr(P, problem, "F") == pytest.approx(CTR_F, abs=1e-9)
+        report = evaluate(np.eye(6), make_problem())
+        assert report.group("M").ctr == pytest.approx(CTR_M, abs=1e-9)
+        assert report.group("F").ctr == pytest.approx(CTR_F, abs=1e-9)
 
     def test_pinned_item_contributes_v1(self):
         problem = make_problem(utilities=(1.0, 0.5, 0.5), groups=("A", "B", "B"))
         P = permutation_matrix([0, 1, 2])
-        assert group_ctr(P, problem, "A") == pytest.approx(float(problem.bias[0]))
+        assert evaluate(P, problem).group("A").ctr == pytest.approx(float(problem.bias[0]))
 
     def test_zero_utility_group_has_zero_ctr(self):
         problem = make_problem(utilities=(0.4, 0.4, 0.0, 0.0), groups=("A", "A", "B", "B"))
-        assert group_ctr(np.eye(4), problem, "B") == 0.0
+        assert evaluate(np.eye(4), problem).group("B").ctr == 0.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            group_ctr(np.eye(3), make_problem(), "M")
+            evaluate(np.eye(3), make_problem())
 
 
 class TestDisparateTreatmentRatio:
     def test_prp_oracle(self):
-        problem = make_problem()
-        value = disparate_treatment_ratio(np.eye(6), problem, "M", "F")
+        value, _ = ratios(np.eye(6), make_problem())
         assert value == pytest.approx(1.7483, abs=1e-3)
         assert value == pytest.approx(PRP_DTR, abs=1e-9)
 
     def test_constrained_solution_is_fair(self):
         problem = make_problem()
         report = solve_problem(problem, [disparate_treatment(problem, "M", "F")])
-        value = disparate_treatment_ratio(report.matrix, problem, "M", "F")
+        value, _ = ratios(report.matrix, problem)
         assert value == pytest.approx(1.0, abs=1e-5)
 
     def test_uniform_matrix_gives_inverse_utility_ratio(self):
-        problem = make_problem()
-        value = disparate_treatment_ratio(
-            DoublyStochasticMatrix.uniform(6), problem, "M", "F"
-        )
+        value, _ = ratios(DoublyStochasticMatrix.uniform(6), make_problem())
         assert value == pytest.approx(0.78 / 0.81, abs=1e-12)
 
     def test_reciprocal_identity(self):
         problem = make_problem()
         P = np.eye(6)
-        forward = disparate_treatment_ratio(P, problem, "M", "F")
-        backward = disparate_treatment_ratio(P, problem, "F", "M")
+        forward, _ = ratios(P, problem, "M", "F")
+        backward, _ = ratios(P, problem, "F", "M")
         assert forward * backward == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_utility_scaling(self):
         base = make_problem()
         scaled = make_problem(utilities=tuple(0.5 * u for u in base.utilities))
         P = permutation_matrix([2, 0, 5, 1, 4, 3])
-        assert disparate_treatment_ratio(P, base, "M", "F") == pytest.approx(
-            disparate_treatment_ratio(P, scaled, "M", "F"), abs=1e-12
-        )
+        assert ratios(P, base)[0] == pytest.approx(ratios(P, scaled)[0], abs=1e-12)
 
-    def test_distinct_errors_for_zero_denominators(self):
+    def test_zero_denominators_give_none(self):
         zero_util = make_problem(utilities=(0.5, 0.5, 0.5, 0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="zero mean utility"):
-            disparate_treatment_ratio(np.eye(6), zero_util, "M", "F")
+        assert ratios(np.eye(6), zero_util) == (None, None)
         # zero exposure: dcg@k bias with the tail cut, group F stuck in it
         from fairexposure.core import PositionBias
 
         bias = PositionBias.dcg_at_k(6, k=3, base=2)
         problem = make_problem(bias=bias)
-        with pytest.raises(ValueError, match="zero exposure"):
-            disparate_treatment_ratio(np.eye(6), problem, "M", "F")
+        assert ratios(np.eye(6), problem, "M", "F") == (None, None)
+        assert ratios(np.eye(6), problem, "F", "M") == (None, None)
 
 
 class TestDisparateImpactRatio:
     def test_constrained_solution_is_fair(self):
         problem = make_problem()
         report = solve_problem(problem, [disparate_impact(problem, "M", "F")])
-        value = disparate_impact_ratio(report.matrix, problem, "M", "F")
+        _, value = ratios(report.matrix, problem)
         assert value == pytest.approx(1.0, abs=1e-5)
 
     def test_symmetric_groups_give_unity(self):
         problem = make_problem(utilities=(0.6, 0.6, 0.6, 0.6), groups=("A", "A", "B", "B"))
-        assert disparate_impact_ratio(
-            DoublyStochasticMatrix.uniform(4), problem, "A", "B"
-        ) == pytest.approx(1.0, abs=1e-12)
+        _, value = ratios(DoublyStochasticMatrix.uniform(4), problem, "A", "B")
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_prp_favors_top_group(self):
-        problem = make_problem()
-        value = disparate_impact_ratio(np.eye(6), problem, "M", "F")
+        _, value = ratios(np.eye(6), make_problem())
         assert value > 1.0
         assert value == pytest.approx(PRP_DIR, abs=1e-9)
 
     def test_reciprocal_identity(self):
         problem = make_problem()
         P = np.eye(6)
-        forward = disparate_impact_ratio(P, problem, "M", "F")
-        backward = disparate_impact_ratio(P, problem, "F", "M")
+        _, forward = ratios(P, problem, "M", "F")
+        _, backward = ratios(P, problem, "F", "M")
         assert forward * backward == pytest.approx(1.0, abs=1e-12)
 
 
@@ -132,13 +124,13 @@ class TestCostOfFairness:
     def test_zero_against_itself(self):
         problem = make_problem()
         P = permutation_matrix(prp_ranking(problem))
-        assert cost_of_fairness(P, P, problem) == 0.0
+        assert cof(P, P, problem) == 0.0
 
     def test_parity_cost(self):
         problem = make_problem()
         best = solve_problem(problem).matrix
         fair = solve_problem(problem, [demographic_parity(problem, "M", "F")]).matrix
-        assert cost_of_fairness(best, fair, problem) == pytest.approx(0.0162, abs=1e-3)
+        assert cof(best, fair, problem) == pytest.approx(0.0162, abs=1e-3)
 
     def test_never_negative_against_optimum(self):
         problem = make_problem()
@@ -146,7 +138,7 @@ class TestCostOfFairness:
         rng = np.random.default_rng(2)
         for _ in range(10):
             P = permutation_matrix(rng.permutation(6))
-            assert cost_of_fairness(best, P, problem) >= -1e-6
+            assert cof(best, P, problem) >= -1e-6
 
     def test_monotone_in_constraints(self):
         problem = make_problem()
@@ -159,9 +151,7 @@ class TestCostOfFairness:
                 disparate_impact(problem, "M", "F"),
             ],
         ).matrix
-        assert cost_of_fairness(best, one, problem) <= cost_of_fairness(
-            best, both, problem
-        ) + 1e-9
+        assert cof(best, one, problem) <= cof(best, both, problem) + 1e-9
 
 
 class TestEvaluate:
@@ -187,9 +177,13 @@ class TestEvaluate:
     def test_explicit_pair(self):
         problem = make_problem(groups=("A", "B", "C", "A", "B", "C"))
         report = evaluate(np.eye(6), problem, group_pair=("C", "A"))
-        assert report.dtr == pytest.approx(
-            disparate_treatment_ratio(np.eye(6), problem, "C", "A"), abs=1e-12
-        )
+        c, a = report.group("C"), report.group("A")
+        expected = (c.exposure / c.mean_utility) / (a.exposure / a.mean_utility)
+        assert report.dtr == expected
+
+    def test_unknown_group_in_pair_rejected(self):
+        with pytest.raises(ValueError, match="has no items"):
+            evaluate(np.eye(6), make_problem(), group_pair=("M", "X"))
 
     def test_to_dict_round_trips_through_json(self):
         import json

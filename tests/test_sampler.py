@@ -10,14 +10,7 @@ from fairexposure.bvn import BvnDecomposition, BvnTerm, decompose
 from fairexposure.constraints import demographic_parity
 from fairexposure.core import group_exposure, permutation_matrix
 from fairexposure.lp import solve_problem
-from fairexposure.sampler import (
-    hash_user_key,
-    sample,
-    sample_for_user,
-    sample_indices,
-    term_index_for_fraction,
-    user_fraction,
-)
+from fairexposure.sampler import _term_index, hash_user_key, sample_for_user, sample_indices
 
 from .test_core import make_problem
 
@@ -48,21 +41,17 @@ class TestUserHash:
 
     def test_fraction_in_unit_interval(self):
         for key in ("alice", "bob", "", "user-123456"):
-            assert 0.0 <= user_fraction(key) < 1.0
+            assert 0.0 <= hash_user_key(key) / 2.0**64 < 1.0
 
 
 class TestTermIndexForFraction:
     def test_boundary_resolves_to_lower_index(self):
         dec = two_term_decomposition(0.3)
         # cumulative boundaries at 0.3 and 1.0
-        assert term_index_for_fraction(dec, 0.3) == 0
-        assert term_index_for_fraction(dec, 0.3 + 1e-12) == 1
-        assert term_index_for_fraction(dec, 0.0) == 0
-
-    def test_rejects_out_of_range(self):
-        dec = two_term_decomposition(0.3)
-        with pytest.raises(ValueError, match="fraction"):
-            term_index_for_fraction(dec, 1.0)
+        assert _term_index(dec, 0.3) == 0
+        assert _term_index(dec, 0.3 + 1e-12) == 1
+        assert _term_index(dec, 0.0) == 0
+        np.testing.assert_array_equal(_term_index(dec, np.array([0.0, 0.3, 0.5])), [0, 0, 1])
 
     def test_cumulative_weights_computed_once(self):
         dec = two_term_decomposition(0.3)
@@ -77,7 +66,8 @@ class TestSample:
         ranking = np.array([1, 0, 2])
         dec = BvnDecomposition(terms=(BvnTerm(1.0, ranking),))
         for seed in range(5):
-            np.testing.assert_array_equal(sample(dec, seed), ranking)
+            (index,) = sample_indices(dec, 1, seed)
+            np.testing.assert_array_equal(dec.terms[index].ranking, ranking)
 
     def test_half_half_frequency(self):
         dec = two_term_decomposition(0.5)
@@ -154,7 +144,7 @@ class TestSampleForUser:
 
     def test_hash_uniformity_chi_square(self):
         # bucket the hash fractions of sequential keys into deciles
-        fractions = np.array([user_fraction(f"id:{k}") for k in range(20_000)])
+        fractions = np.array([hash_user_key(f"id:{k}") / 2.0**64 for k in range(20_000)])
         observed = np.histogram(fractions, bins=10, range=(0.0, 1.0))[0]
         expected = 2_000.0
         chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -164,6 +154,6 @@ class TestSampleForUser:
 def test_permutation_matrix_round_trip_through_sampling():
     # sampled rankings are genuine permutations usable downstream
     dec = two_term_decomposition(0.7)
-    ranking = sample(dec, 123)
+    ranking = sample_for_user(dec, "user-123")
     M = permutation_matrix(ranking)
     assert M.sum() == 3

@@ -9,7 +9,7 @@ from fairexposure.bvn import BvnDecomposition, BvnTerm, decompose
 from fairexposure.constraints import demographic_parity, disparate_treatment
 from fairexposure.core import PositionBias, group_exposure
 from fairexposure.lp import solve_problem
-from fairexposure.metrics import group_ctr
+from fairexposure.metrics import evaluate
 from fairexposure.simulator import simulate
 
 from .test_core import make_problem
@@ -99,8 +99,9 @@ class TestConvergence:
 
         P = reconstruct(dec)
         report = simulate(dec, problem, n_users=100_000, seed=23)
+        metrics = evaluate(P, problem)
         for label in ("M", "F"):
-            analytic = report.scale * group_ctr(P, problem, label)
+            analytic = report.scale * metrics.group(label).ctr
             gs = report.group(label)
             assert abs(gs.ctr - analytic) <= 3.0 * max(gs.ctr_se, 1e-6)
 
