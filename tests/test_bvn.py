@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -323,6 +324,47 @@ class TestTermBound:
         assert len(result.terms) <= term_bound(problem.n)
         gap = float(np.abs(reconstruct(result) - report.matrix.entries).max())
         assert gap <= result.residual + TOLERANCE
+
+
+def dense_mixture(n: int, seed: int) -> np.ndarray:
+    """Dirichlet mixture of n^2 random permutations, as the dense benchmark builds."""
+    rng = np.random.default_rng([n, seed])
+    k = n * n
+    rankings = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+    weights = rng.dirichlet(np.ones(k))
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (rankings, np.arange(n)[None, :]), weights[:, None])
+    return matrix
+
+
+def lottery_digest(result: BvnDecomposition) -> str:
+    """sha256 over every term's exact weight and ranking, then the residual."""
+    h = hashlib.sha256()
+    for term in result.terms:
+        h.update(term.theta.hex().encode())
+        h.update(term.ranking.astype("<i8").tobytes())
+    h.update(result.residual.hex().encode())
+    return h.hexdigest()
+
+
+class TestDenseLotteryPin:
+    """Dense decompositions stay bit-identical: same terms, order and residual."""
+
+    @pytest.mark.parametrize(
+        "n, seed, terms, digest",
+        [
+            (10, 0, 82, "0d6d915eaffbc6ed4c4e32ef003e388a1f873a96eb70f4622b6a41fc250e6664"),
+            (10, 1, 82, "c2e4f7bcda98c02d64c970b7d465c9f808995c43bdcaaecad1c8929eb19b587a"),
+            (20, 0, 362, "c81285b28a6ddcb08bf098ea3e697d1fc80a187480a672bc846f4dad01c052b9"),
+            (20, 1, 362, "db333b14fe3012b119bf5817eb9429eea1a4b56becc8ccb154b2201dfee6391a"),
+            (30, 0, 842, "431bd83b21318325e3c5d2c0999ea6ee96baef97647a598ef83a0bec7f0338f4"),
+            (30, 1, 842, "c3de4b1eeddc41fa64b54fbb984714c2cfb7c17b37ed58131f3412cd3d7e7a25"),
+        ],
+    )
+    def test_dense_mixture_digest(self, n, seed, terms, digest):
+        result = decompose(dense_mixture(n, seed))
+        assert len(result.terms) == terms
+        assert lottery_digest(result) == digest
 
 
 class TestSolvedPipeline:
