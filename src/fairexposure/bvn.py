@@ -4,7 +4,10 @@ Birkhoff's theorem says every doubly stochastic matrix is a convex
 combination of permutation matrices, and at most (N-1)^2 + 1 of them are
 needed.  ``decompose`` extracts terms greedily: find a perfect matching
 (scipy's compiled Hopcroft-Karp) on the entries still above tolerance,
-peel off the minimum matched entry as the term weight, and repeat.
+peel off the minimum matched entry as the term weight, and repeat.  One
+sparse graph serves every step; each step refills its index arrays from
+the flat positions of the entries above the cut, and reads and updates
+the matched entries through their flat positions too.
 Every matrix within ``core.TOLERANCE`` of doubly stochastic decomposes;
 what extraction leaves behind is reported as the residual.
 
@@ -30,7 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TOLERANCE, MatrixLike, as_matrix, permutation_matrix, stochastic_violation
+from .core import (
+    TOLERANCE, MatrixLike, as_matrix, as_ranking, permutation_matrix, stochastic_violation,
+)
 
 __all__ = ["BvnTerm", "BvnDecomposition", "decompose", "reconstruct", "term_bound"]
 
@@ -67,9 +72,7 @@ class BvnTerm:
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        r = np.asarray(self.ranking, dtype=int).copy()
-        if r.ndim != 1 or not np.array_equal(np.sort(r), np.arange(r.size)):
-            raise ValueError(f"not a permutation of 0..{r.size - 1}: {self.ranking}")
+        r = as_ranking(self.ranking)
         r.flags.writeable = False
         object.__setattr__(self, "ranking", r)
         object.__setattr__(self, "theta", float(self.theta))
@@ -133,28 +136,6 @@ class BvnDecomposition:
         return cum
 
 
-def _perfect_matching(mask: np.ndarray) -> np.ndarray | None:
-    """Maximum matching of the bipartite graph ``mask`` (rows x columns).
-
-    Uses scipy's compiled Hopcroft-Karp matcher, so it needs no recursion
-    and scales to large ``n``.  Which perfect matching comes back is up to
-    that matcher; any one gives a valid extraction step.  Returns
-    row_of_col, or None when no perfect matching exists.
-    """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
-    n = mask.shape[0]
-    rows, cols = np.nonzero(mask)
-    indptr = np.zeros(n + 1, dtype=rows.dtype)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    graph = csr_array((np.ones(cols.size, dtype=bool), cols, indptr), shape=(n, n))
-    row_of_col = maximum_bipartite_matching(graph, perm_type="row")
-    if np.any(row_of_col < 0):
-        return None
-    return row_of_col
-
-
 def decompose(P: MatrixLike) -> BvnDecomposition:
     """Decompose ``P`` into a convex combination of permutation matrices.
 
@@ -175,14 +156,23 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
             f"(worst deviation {violation:.3e})"
         )
 
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    flat = m.ravel()  # a view: m is a fresh C-ordered copy
+    lines = np.empty(2 * n)  # row sums, then column sums
     cols = np.arange(n)
+    row_starts = np.arange(0, n * n + 1, n)
+    # one graph for every step: only its index arrays change
+    graph = csr_array((n, n), dtype=bool)
     thetas: list[float] = []
     rankings: list[np.ndarray] = []
     # n^2 * cut <= 1/2: the entries below the cut hold under half a line
     cut = min(_MATCHING_TOLERANCE, 0.5 / n**2)
     capped = False
     while True:
-        lines = np.concatenate((m.sum(axis=1), m.sum(axis=0)))
+        m.sum(axis=1, out=lines[:n])
+        m.sum(axis=0, out=lines[n:])
         smallest, largest = float(lines.min()), float(lines.max())
         # a capped step zeroes no entry, so the support argument in the
         # module docstring no longer bounds the steps after it
@@ -190,13 +180,21 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
             break
         # Hall's condition survives the cut on an exact input; an input off
         # by up to TOLERANCE may run out of matchings (see _residual_bound)
-        row_of_col = _perfect_matching(m > cut * largest)
-        if row_of_col is None:
+        keep = (flat > cut * largest).nonzero()[0]  # row-major flat indices
+        # int32, the index type the compiled matcher takes
+        graph.indices = (keep % n).astype(np.int32)
+        graph.indptr = np.searchsorted(keep, row_starts).astype(np.int32)
+        graph.data = np.ones(keep.size, dtype=bool)
+        # scipy's compiled Hopcroft-Karp: no recursion, so any n works;
+        # which perfect matching it returns is up to the matcher
+        row_of_col = maximum_bipartite_matching(graph, perm_type="row")
+        if row_of_col.min() < 0:
             break
-        low = float(m[row_of_col, cols].min())
+        at = row_of_col * n + cols
+        low = float(flat[at].min())
         # with negative entries, matched entries can outweigh their lines
         theta = min(low, smallest, 1.0)
-        m[row_of_col, cols] -= theta
+        flat[at] -= theta
         thetas.append(theta)
         rankings.append(row_of_col)
         capped = theta < low

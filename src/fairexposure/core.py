@@ -188,8 +188,8 @@ def stochastic_violation(matrix: np.ndarray) -> float:
     doubly stochastic matrix scores exactly 0, one with a NaN entry infinity.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         return math.inf
     return max(
@@ -237,12 +237,25 @@ def as_matrix(P: MatrixLike) -> np.ndarray:
     return np.asarray(P, dtype=float)
 
 
+def as_ranking(ranking: Sequence[int]) -> np.ndarray:
+    """``ranking`` as a new int array, checked to permute 0..n-1.
+
+    Entries must already be integers: a float or bool is an error, never
+    truncated to an index.
+    """
+    r = np.asarray(ranking)
+    if r.dtype.kind not in "iu":
+        raise ValueError(f"ranking entries must be integers, got {r.tolist()}")
+    r = r.astype(int)
+    if r.ndim != 1 or not (np.sort(r) == np.arange(r.size)).all():
+        raise ValueError(f"not a permutation of 0..{r.size - 1}: {r.tolist()}")
+    return r
+
+
 def permutation_matrix(ranking: Sequence[int]) -> np.ndarray:
     """Matrix form of a ranking: entry (ranking[j], j) is 1."""
-    r = np.asarray(ranking, dtype=int)
+    r = as_ranking(ranking)
     n = r.size
-    if not np.array_equal(np.sort(r), np.arange(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {list(r)}")
     m = np.zeros((n, n))
     m[r, np.arange(n)] = 1.0
     return m

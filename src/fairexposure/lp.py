@@ -23,7 +23,7 @@ Memory grows as N² per fairness row; HiGHS solve time, not assembly,
 limits practical problems to a few hundred items.
 
 Import rule: scipy is imported inside the functions that call it
-(``solve``, ``_stochastic_rows`` and ``bvn._perfect_matching``), never at
+(``solve``, ``_stochastic_rows`` and ``bvn.decompose``), never at
 module level, so that only the ``solve`` and ``decompose`` commands pay
 for loading it (README, "Scale").
 """

@@ -70,6 +70,15 @@ class TestBvnTerm:
         with pytest.raises(ValueError, match="permutation"):
             BvnTerm(theta=0.5, ranking=np.array([0, 0]))
 
+    @pytest.mark.parametrize("ranking", [[0.7, 1.2], [1.0, 0.0], [True, False]])
+    def test_rejects_non_integer_ranking(self, ranking):
+        with pytest.raises(ValueError, match="must be integers"):
+            BvnTerm(theta=0.5, ranking=ranking)
+
+    def test_accepts_unsigned_ranking(self):
+        term = BvnTerm(theta=1.0, ranking=np.array([1, 0], dtype=np.uint8))
+        np.testing.assert_array_equal(term.ranking, [1, 0])
+
     def test_matrix_places_items(self):
         term = BvnTerm(theta=1.0, ranking=np.array([2, 0, 1]))
         np.testing.assert_array_equal(term.matrix(), permutation_matrix([2, 0, 1]))
@@ -185,6 +194,10 @@ class TestDecompose:
         result = decompose(0.5 * np.eye(n) + 0.5 * shift)
         assert len(result.terms) == 2
         np.testing.assert_allclose(result.thetas, 0.5, atol=1e-12)
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            decompose(np.zeros((0, 0)))
 
     def test_rejects_non_stochastic_input(self):
         bad = np.full((3, 3), 1.0 / 3)

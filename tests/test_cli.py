@@ -243,6 +243,12 @@ class TestDecompose:
         assert code == 1
         assert "doubly stochastic" in err
 
+    def test_empty_matrix_rejected(self, run):
+        code, out, err = run(["decompose"], stdin_text=json.dumps({"n": 0, "matrix": []}))
+        assert code == 1
+        assert out == ""
+        assert "non-empty square matrix" in err and "Traceback" not in err
+
     def test_infeasible_solution_rejected(self, run):
         payload = {"status": "infeasible", "n": 6}
         code, _, err = run(["decompose"], stdin_text=json.dumps(payload))
@@ -347,6 +353,23 @@ class TestSample:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_fractional_ranking_rejected(self, run, parity_decomposition):
+        # truncation would turn each ranking back into the valid one
+        payload = json.loads(parity_decomposition)
+        for term in payload["terms"]:
+            term["ranking"] = [i + 0.5 for i in term["ranking"]]
+        code, out, err = run(["sample", "--count", "1"], stdin_text=json.dumps(payload))
+        assert code == 1
+        assert out == ""
+        assert "ranking entries must be integers" in err and "Traceback" not in err
+
+    def test_boolean_ranking_rejected(self, run):
+        payload = {"n": 2, "terms": [{"theta": 1.0, "ranking": [True, False]}]}
+        code, out, err = run(["sample", "--count", "1"], stdin_text=json.dumps(payload))
+        assert code == 1
+        assert out == ""
+        assert "ranking entries must be integers" in err
 
     @pytest.mark.parametrize("row", [{"group": "M", "utility": 0.5}, "m1"])
     def test_items_without_ids_is_usage_error(self, run, parity_decomposition, row):

@@ -148,6 +148,10 @@ class TestDoublyStochasticMatrix:
         bad[0, 0] = 0.5 + 2e-3
         assert stochastic_violation(bad) == pytest.approx(2e-3)
 
+    def test_violation_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            stochastic_violation(np.zeros((0, 0)))
+
     def test_entries_read_only(self):
         P = DoublyStochasticMatrix.uniform(3)
         with pytest.raises(ValueError):
@@ -163,6 +167,10 @@ class TestPermutationMatrix:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
             permutation_matrix([0, 0, 1])
+
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            permutation_matrix([1.9, 0.2])
 
 
 class TestUtilityAndExposure:
