@@ -147,7 +147,7 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
     come back sorted by weight descending (ties broken by ranking,
     lexicographically).
     """
-    m = as_matrix(P).astype(float, copy=True)
+    m = np.array(as_matrix(P), dtype=float, order="C")  # a fresh copy
     n = m.shape[0]
     violation = stochastic_violation(m)
     if violation > TOLERANCE:
@@ -159,7 +159,7 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    flat = m.ravel()  # a view: m is a fresh C-ordered copy
+    flat = m.ravel()  # a view, since m is C-ordered whatever the input
     lines = np.empty(2 * n)  # row sums, then column sums
     cols = np.arange(n)
     row_starts = np.arange(0, n * n + 1, n)

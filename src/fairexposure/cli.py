@@ -184,11 +184,12 @@ def _matrix_from_json(payload: dict, what: str) -> np.ndarray:
 
 def _decomposition_from_json(payload: dict, what: str) -> BvnDecomposition:
     try:
-        fields = [(float(term["theta"]), term["ranking"]) for term in payload["terms"]]
+        terms = tuple(
+            BvnTerm(float(term["theta"]), term["ranking"]) for term in payload["terms"]
+        )
         residual = float(payload.get("residual", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{what} is missing decomposition terms ({exc})") from None
-    terms = tuple(BvnTerm(theta, ranking) for theta, ranking in fields)
     return BvnDecomposition(terms=terms, residual=residual)
 
 

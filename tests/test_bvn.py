@@ -379,6 +379,21 @@ class TestDenseLotteryPin:
         assert len(result.terms) == terms
         assert lottery_digest(result) == digest
 
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda m: np.repeat(m, 2, axis=1)[:, ::2]],
+        ids=["fortran", "strided"],
+    )
+    def test_memory_layout_does_not_change_result(self, layout):
+        P = dense_mixture(10, 0).T  # a Fortran-ordered view of a non-symmetric matrix
+        assert not np.allclose(P, P.T)
+        expected = decompose(np.ascontiguousarray(P))
+        for given in (P, layout(np.ascontiguousarray(P))):
+            result = decompose(given)
+            assert len(result.terms) == len(expected.terms)
+            assert lottery_digest(result) == lottery_digest(expected)
+            np.testing.assert_allclose(reconstruct(result), P, atol=1e-9)
+
 
 class TestSolvedPipeline:
     """solve -> decompose -> evaluate -> simulate on degenerate instances."""
