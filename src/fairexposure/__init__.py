@@ -38,7 +38,6 @@ from .core import (
     Item,
     PositionBias,
     RankingProblem,
-    group_exposure,
     permutation_matrix,
     prp_ranking,
     stochastic_violation,
@@ -94,7 +93,6 @@ __all__ = [
     "dt_exposure_ratio_range",
     "dump_lp",
     "evaluate",
-    "group_exposure",
     "hash_user_key",
     "jobseeker_items",
     "load_jobseeker",
@@ -106,6 +104,7 @@ __all__ = [
     "reconstruct",
     "sample_for_user",
     "sample_indices",
+    "simulate",
     "solve",
     "solve_problem",
     "stochastic_violation",

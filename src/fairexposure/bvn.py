@@ -33,9 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    TOLERANCE, MatrixLike, as_matrix, as_ranking, permutation_matrix, stochastic_violation,
-)
+from .core import TOLERANCE, MatrixLike, _certify, as_matrix, as_ranking
 
 __all__ = ["BvnTerm", "BvnDecomposition", "decompose", "reconstruct", "term_bound"]
 
@@ -76,9 +74,6 @@ class BvnTerm:
         r.flags.writeable = False
         object.__setattr__(self, "ranking", r)
         object.__setattr__(self, "theta", float(self.theta))
-
-    def matrix(self) -> np.ndarray:
-        return permutation_matrix(self.ranking)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,12 +144,7 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
     """
     m = np.array(as_matrix(P), dtype=float, order="C")  # a fresh copy
     n = m.shape[0]
-    violation = stochastic_violation(m)
-    if violation > TOLERANCE:
-        raise ValueError(
-            f"matrix is not doubly stochastic within {TOLERANCE:g} "
-            f"(worst deviation {violation:.3e})"
-        )
+    _certify(m)
 
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_bipartite_matching

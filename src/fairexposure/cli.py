@@ -21,7 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Optional, Sequence
+from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,30 +64,18 @@ class _Parser(argparse.ArgumentParser):
 # input parsing helpers
 
 
-def _open_input(path: str) -> IO[str]:
-    if path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="utf-8", newline="")
-
-
-def _read_items(path: str) -> tuple[Item, ...]:
-    handle = _open_input(path)
-    try:
-        return read_items_csv(handle)
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
+def _read_problem(args: argparse.Namespace) -> RankingProblem:
+    """The items CSV ``args.items`` ('-' = stdin) under the ``args.bias`` form."""
+    items = read_items_csv(sys.stdin if args.items == "-" else args.items)
+    return RankingProblem(items=items, position_bias=_parse_bias(args.bias, len(items)))
 
 
 def _load_json(path: str, what: str) -> dict:
-    handle = _open_input(path)
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.load(handle)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} is not valid JSON: {exc}") from None
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object")
     return payload
@@ -96,23 +85,14 @@ def _parse_bias(flag: str, n: int) -> PositionBias:
     """Parse ``log:BASE`` or ``dcg:BASE:K`` into a position-bias vector."""
     parts = flag.split(":")
     if parts[0] == "log" and len(parts) == 2:
-        return PositionBias.log_discount(n, base=_parse_base(parts[1]))
+        return PositionBias.log_discount(n, base=parts[1])
     if parts[0] == "dcg" and len(parts) == 3:
         try:
             k = int(parts[2])
         except ValueError:
             raise ValueError(f"bias cutoff must be an integer, got {parts[2]!r}") from None
-        return PositionBias.dcg_at_k(n, k=k, base=_parse_base(parts[1]))
+        return PositionBias.dcg_at_k(n, k=k, base=parts[1])
     raise ValueError(f"bias must look like 'log:BASE' or 'dcg:BASE:K', got {flag!r}")
-
-
-def _parse_base(token: str):
-    if token in ("e", "natural"):
-        return "natural"
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"log base must be 'e' or a number, got {token!r}") from None
 
 
 def _parse_constraint_flag(
@@ -171,14 +151,18 @@ def _problem_from_json(payload: dict, what: str) -> RankingProblem:
     return RankingProblem(items=items, position_bias=bias)
 
 
-def _matrix_from_json(payload: dict, what: str) -> np.ndarray:
+def _solution_matrix(payload: dict, command: str) -> np.ndarray:
+    """The matrix of an optimal solution; ``command`` names what needed it."""
+    status = payload.get("status", "optimal")
+    if status != "optimal":
+        raise ValueError(f"solution status is {status!r}; nothing to {command}")
     try:
         n = int(payload["n"])
         flat = np.asarray(payload["matrix"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{what} is missing matrix data ({exc})") from None
+        raise ValueError(f"solution is missing matrix data ({exc})") from None
     if flat.shape != (n * n,):
-        raise ValueError(f"{what} matrix has {flat.size} entries, expected {n * n}")
+        raise ValueError(f"solution matrix has {flat.size} entries, expected {n * n}")
     return flat.reshape(n, n)
 
 
@@ -210,10 +194,7 @@ def _symmetric(ratio: Optional[float]) -> Optional[float]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    items = _read_items(args.items)
-    problem = RankingProblem(
-        items=items, position_bias=_parse_bias(args.bias, len(items))
-    )
+    problem = _read_problem(args)
     parsed = [_parse_constraint_flag(problem, flag) for flag in args.constraint]
     constraints = [c for _, _, chain in parsed for c in chain]
 
@@ -238,9 +219,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_INFEASIBLE
-    if report.status != "optimal":
-        print(f"error: solver returned status {report.status!r}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
     entries = report.matrix.entries
     if args.emit_plot_data:
@@ -274,10 +252,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     payload = _load_json(args.solution, "solution")
-    status = payload.get("status", "optimal")
-    if status != "optimal":
-        raise ValueError(f"solution status is {status!r}; nothing to decompose")
-    matrix = _matrix_from_json(payload, "solution")
+    matrix = _solution_matrix(payload, "decompose")
     try:
         decomposition = decompose(matrix)
     except RuntimeError as exc:
@@ -330,11 +305,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     payload = _load_json(args.solution, "solution")
-    status = payload.get("status", "optimal")
-    if status != "optimal":
-        raise ValueError(f"solution status is {status!r}; nothing to evaluate")
+    matrix = _solution_matrix(payload, "evaluate")
     problem = _problem_from_json(payload, "solution")
-    matrix = _matrix_from_json(payload, "solution")
     reference = permutation_matrix(prp_ranking(problem)) if args.against_optimal else None
     report = evaluate(
         matrix, problem, group_pair=_parse_group_pair(args.group_pair), reference=reference
@@ -347,10 +319,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
-    items = _read_items(args.items)
-    problem = RankingProblem(
-        items=items, position_bias=_parse_bias(args.bias, len(items))
-    )
+    problem = _read_problem(args)
     pair = _parse_group_pair(args.groups)
     if pair is None:
         raise ValueError("--groups is required, e.g. --groups M,F")

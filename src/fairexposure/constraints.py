@@ -76,8 +76,7 @@ class FairnessConstraint:
 
 
 def _membership(problem: RankingProblem, group_a: str, group_b: str):
-    if group_a == group_b:
-        raise ValueError(f"the two groups must differ, both are {group_a!r}")
+    problem.group_pair((group_a, group_b))
     return problem.group_indices(group_a), problem.group_indices(group_b)
 
 

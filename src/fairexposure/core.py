@@ -17,8 +17,8 @@ formulas use 1-indexed ranks, converted only inside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "permutation_matrix",
     "prp_ranking",
     "utility",
-    "group_exposure",
     "stochastic_violation",
 ]
 
@@ -39,10 +38,16 @@ __all__ = [
 #: cost-of-fairness floor and the CLI's ``satisfied`` flag.
 TOLERANCE = 1e-6
 
-_LOG_BASES = {"natural": math.e, "e": math.e, "2": 2.0, 2: 2.0, 2.0: 2.0}
+_LOG_BASES = {"natural": math.e, "e": math.e, 2.0: 2.0}
 
 
 def _resolve_base(base: Union[str, float]) -> float:
+    """The log base ``base`` names: 'natural' or 'e', or 2 in any numeric spelling."""
+    if isinstance(base, str) and base not in _LOG_BASES:
+        try:
+            base = float(base)
+        except ValueError:
+            pass
     try:
         return _LOG_BASES[base]
     except (KeyError, TypeError):
@@ -122,10 +127,15 @@ class PositionBias:
 
 @dataclass(frozen=True, eq=False)
 class RankingProblem:
-    """Items plus a position-bias vector of matching length."""
+    """Items plus a position-bias vector of matching length.
+
+    The groups are fixed at construction: each label maps to the read-only
+    indices of its items, labels in order of first appearance.
+    """
 
     items: tuple[Item, ...]
     position_bias: PositionBias
+    _groups: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         items = tuple(self.items)
@@ -141,6 +151,13 @@ class RankingProblem:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate item ids: {dupes}")
         object.__setattr__(self, "items", items)
+        groups: dict = {}
+        for i, item in enumerate(items):
+            groups.setdefault(item.group, []).append(i)
+        for label, members in groups.items():
+            groups[label] = np.array(members, dtype=int)
+            groups[label].flags.writeable = False
+        object.__setattr__(self, "_groups", groups)
 
     @property
     def n(self) -> int:
@@ -157,28 +174,33 @@ class RankingProblem:
     @property
     def group_labels(self) -> tuple[str, ...]:
         """Distinct group labels in order of first appearance."""
-        seen: dict[str, None] = {}
-        for item in self.items:
-            seen.setdefault(item.group, None)
-        return tuple(seen)
+        return tuple(self._groups)
 
     def group_indices(self, group: str) -> np.ndarray:
-        """Indices of the items carrying ``group`` as their label."""
-        idx = np.array(
-            [i for i, item in enumerate(self.items) if item.group == group], dtype=int
-        )
-        if idx.size == 0:
-            raise ValueError(f"group {group!r} has no items")
-        return idx
+        """Indices of the items carrying ``group`` as their label (read-only)."""
+        try:
+            return self._groups[group]
+        except (KeyError, TypeError):
+            raise ValueError(f"group {group!r} has no items") from None
 
-    def group_pair_or_default(
-        self, group_pair: Optional[tuple[str, str]]
+    def group_pair(
+        self, pair: Optional[tuple[str, str]] = None
     ) -> Optional[tuple[str, str]]:
-        """``group_pair``, else the two groups when there are exactly two."""
-        labels = self.group_labels
-        if group_pair is None and len(labels) == 2:
-            return labels[0], labels[1]
-        return group_pair
+        """The group pair every layer compares: ``pair``, checked, or the default.
+
+        The default is the two groups of a two-group problem, in order of
+        first appearance, and None for any other group count.  A given pair
+        must name two different groups that both have items.
+        """
+        if pair is None:
+            labels = self.group_labels
+            return (labels[0], labels[1]) if len(labels) == 2 else None
+        a, b = pair
+        if a == b:
+            raise ValueError(f"the two groups must differ, both are {a!r}")
+        self.group_indices(a)
+        self.group_indices(b)
+        return a, b
 
 
 def stochastic_violation(matrix: np.ndarray) -> float:
@@ -200,6 +222,16 @@ def stochastic_violation(matrix: np.ndarray) -> float:
     )
 
 
+def _certify(matrix: np.ndarray) -> None:
+    """Raise unless ``matrix`` is doubly stochastic within TOLERANCE."""
+    violation = stochastic_violation(matrix)
+    if violation > TOLERANCE:
+        raise ValueError(
+            f"matrix is not doubly stochastic within {TOLERANCE:g} "
+            f"(max violation {violation:.3e})"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class DoublyStochasticMatrix:
     """An N x N marginal rank-probability matrix, certified within TOLERANCE."""
@@ -208,12 +240,7 @@ class DoublyStochasticMatrix:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=float)
-        violation = stochastic_violation(m)
-        if violation > TOLERANCE:
-            raise ValueError(
-                f"matrix is not doubly stochastic within {TOLERANCE:g} "
-                f"(max violation {violation:.3e})"
-            )
+        _certify(m)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -280,15 +307,3 @@ def utility(P: MatrixLike, problem: RankingProblem) -> float:
     m = as_matrix(P)
     _check_dimensions(m, problem.n)
     return float(problem.utilities @ m @ problem.bias)
-
-
-def group_exposure(P: MatrixLike, v: np.ndarray, indices: Iterable[int]) -> float:
-    """Average exposure over a non-empty set of item indices."""
-    idx = np.asarray(list(indices), dtype=int)
-    if idx.size == 0:
-        raise ValueError("group exposure of an empty group is undefined")
-    m = as_matrix(P)
-    v = np.asarray(v, dtype=float)
-    if m.shape[1] != v.size:
-        raise ValueError(f"matrix shape {m.shape} does not match bias length {v.size}")
-    return float(np.mean(m[idx] @ v))

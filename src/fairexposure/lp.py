@@ -74,14 +74,12 @@ class LinearProgram:
 class SolveReport:
     """Outcome of one LP solve.
 
-    ``status`` is "optimal", "infeasible", or "unbounded-guard" (the last
-    cannot occur for well-formed inputs since all variables are bounded;
-    it is kept as a guard against solver misreports).  ``matrix`` and
-    ``objective`` are set only when optimal.  ``max_violation`` is the
-    certified residual ``max(stochastic_violation(P), c.residual(P) for c
-    in constraints)``.  ``constraint_labels`` lists the fairness
-    constraints in the order they were passed, which is the violated set
-    when status is "infeasible".
+    ``status`` is "optimal" or "infeasible"; ``solve`` raises on any
+    other solver outcome.  ``matrix`` and ``objective`` are set only when
+    optimal.  ``max_violation`` is the certified residual
+    ``max(stochastic_violation(P), c.residual(P) for c in constraints)``.
+    ``constraint_labels`` lists the fairness constraints in the order they
+    were passed, which is the violated set when status is "infeasible".
     """
 
     status: str
@@ -151,8 +149,8 @@ def _clamp(x: np.ndarray) -> np.ndarray:
 def solve(lp: LinearProgram) -> SolveReport:
     """Solve ``lp`` to optimality and certify the solution.
 
-    Raises :class:`NumericalFailure` when the solver gives up or when a
-    claimed optimum violates some constraint by more than ``TOLERANCE``
+    Raises :class:`NumericalFailure` when the solver reports neither an
+    optimum nor infeasibility, or when a claimed optimum violates some constraint by more than ``TOLERANCE``
     after clamping.
     """
     from scipy import sparse
@@ -176,8 +174,6 @@ def solve(lp: LinearProgram) -> SolveReport:
 
     if result.status == 2:
         return SolveReport("infeasible", None, None, None, iterations, labels)
-    if result.status == 3:
-        return SolveReport("unbounded-guard", None, None, None, iterations, labels)
     if result.status != 0:
         raise NumericalFailure(
             f"solver stopped without an optimum (status {result.status}): {result.message}"

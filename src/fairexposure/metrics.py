@@ -119,14 +119,13 @@ def evaluate(
 ) -> MetricsReport:
     """Compute the full metrics bundle for ``P``.
 
-    When ``group_pair`` is omitted and the problem has exactly two groups,
-    they are compared in first-appearance order; with any other group
-    count the pair (and dtr/dir) is omitted.  ``reference`` enables the
+    ``group_pair`` is settled by :meth:`RankingProblem.group_pair`; with
+    no pair, dtr/dir are omitted.  ``reference`` enables the
     cost-of-fairness entry and must be the unconstrained optimum.
     """
     m = as_matrix(P)
     dcg = utility(m, problem)
-    group_pair = problem.group_pair_or_default(group_pair)
+    group_pair = problem.group_pair(group_pair)
     u, v = problem.utilities, problem.bias
     groups = {}
     for label in problem.group_labels:
@@ -142,8 +141,6 @@ def evaluate(
         )
     dtr_value = dir_value = None
     if group_pair is not None:
-        for label in group_pair:
-            problem.group_indices(label)  # a label no item carries raises
         g0, g1 = groups[group_pair[0]], groups[group_pair[1]]
         dtr_value = _utility_ratio(g0.exposure, g0.mean_utility, g1.exposure, g1.mean_utility)
         dir_value = _utility_ratio(g0.ctr, g0.mean_utility, g1.ctr, g1.mean_utility)

@@ -154,8 +154,7 @@ def simulate(
 ) -> SimulationReport:
     """Simulate ``n_users`` examine-then-click sessions.
 
-    When ``group_pair`` is omitted and the problem has exactly two groups
-    they are compared in first-appearance order.
+    ``group_pair`` is settled by :meth:`RankingProblem.group_pair`.
     """
     n = problem.n
     if decomposition.n != n:
@@ -168,10 +167,7 @@ def simulate(
         raise ValueError(f"seed must be non-negative, got {seed}")
 
     labels = problem.group_labels
-    group_pair = problem.group_pair_or_default(group_pair)
-    if group_pair is not None:
-        for label in group_pair:
-            problem.group_indices(label)
+    group_pair = problem.group_pair(group_pair)
 
     u = problem.utilities
     v = problem.bias.astype(float)

@@ -21,7 +21,6 @@ from fairexposure.core import (
     Item,
     PositionBias,
     RankingProblem,
-    group_exposure,
     permutation_matrix,
     prp_ranking,
     stochastic_violation,
@@ -83,10 +82,8 @@ def test_criterion_2_parity_objective_and_decomposition():
     assert report.optimal
     assert abs(report.objective - 3.8031) <= 5e-4
     P = report.matrix.entries
-    gap = abs(
-        group_exposure(P, problem.bias, problem.group_indices("M"))
-        - group_exposure(P, problem.bias, problem.group_indices("F"))
-    )
+    metrics = evaluate(P, problem)
+    gap = abs(metrics.group("M").exposure - metrics.group("F").exposure)
     assert gap <= 1e-6
     decomposition = decompose(P)
     assert abs(sum(decomposition.thetas) - 1.0) <= 1e-6

@@ -79,10 +79,6 @@ class TestBvnTerm:
         term = BvnTerm(theta=1.0, ranking=np.array([1, 0], dtype=np.uint8))
         np.testing.assert_array_equal(term.ranking, [1, 0])
 
-    def test_matrix_places_items(self):
-        term = BvnTerm(theta=1.0, ranking=np.array([2, 0, 1]))
-        np.testing.assert_array_equal(term.matrix(), permutation_matrix([2, 0, 1]))
-
 
 class TestBvnDecomposition:
     def test_rejects_weights_not_summing_to_one(self):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import fairexposure
 from fairexposure.cli import main
@@ -169,6 +170,22 @@ class TestSolve:
         code, _, err = run(["solve"], stdin_text="id,group,utility\nx,G,oops\n")
         assert code == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize("flag", ["log:e", "log:natural", "log:2", "log:2.0", "dcg:2.0:3"])
+    def test_log_base_spellings(self, run, jobseeker_file, flag):
+        solve_json(run, jobseeker_file, "--bias", flag)
+
+    def test_unsupported_log_base(self, run, jobseeker_file):
+        code, out, err = run(["solve", jobseeker_file, "--bias", "log:10"])
+        assert code == 1 and out == ""
+        assert "unsupported log base" in err
+
+    def test_other_solver_status_exits_3(self, run, jobseeker_file, monkeypatch):
+        unbounded = OptimizeResult(status=3, message="The problem is unbounded.", nit=0)
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: unbounded)
+        code, out, err = run(["solve", jobseeker_file])
+        assert code == 3 and out == ""
+        assert "status 3" in err and "Traceback" not in err
 
     def test_bad_bias_flag(self, run, jobseeker_file):
         code, _, err = run(["solve", jobseeker_file, "--bias", "linear:3"])
@@ -467,6 +484,12 @@ class TestEvaluate:
         assert code == 1
         assert "nothing to evaluate" in err
 
+    def test_same_group_twice_rejected(self, run, jobseeker_file):
+        solution = json.dumps(solve_json(run, jobseeker_file))
+        code, out, err = run(["evaluate", "--group-pair", "M,M"], stdin_text=solution)
+        assert code == 1 and out == ""
+        assert "the two groups must differ, both are 'M'" in err
+
 
 class TestFeasibility:
     def test_feasible_verdict(self, run, jobseeker_file):
@@ -581,6 +604,13 @@ class TestSimulate:
         assert payload["n_users"] == 3000
         assert set(payload["groups"]) == {"M", "F"}
         assert payload["dtr"] is not None and payload["dtr_se"] > 0
+
+    def test_same_group_twice_rejected(self, run, parity_decomposition):
+        code, out, err = run(
+            ["simulate", "--group-pair", "F,F"], stdin_text=parity_decomposition
+        )
+        assert code == 1 and out == ""
+        assert "the two groups must differ, both are 'F'" in err
 
     def test_bad_input_rejected(self, run):
         code, _, err = run(["simulate"], stdin_text=json.dumps({"terms": []}))

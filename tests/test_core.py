@@ -10,12 +10,12 @@ from fairexposure.core import (
     Item,
     PositionBias,
     RankingProblem,
-    group_exposure,
     permutation_matrix,
     prp_ranking,
     stochastic_violation,
     utility,
 )
+from fairexposure.metrics import evaluate
 
 # Six candidates, two groups of three, utilities 0.02 apart.  Identity
 # ranking is the utility-sorted one, so the PRP matrix is the identity.
@@ -112,6 +112,20 @@ class TestRankingProblem:
         with pytest.raises(ValueError, match="has no items"):
             make_problem().group_indices("X")
 
+    def test_group_indices_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            make_problem().group_indices("M")[0] = 5
+
+    def test_group_pair(self):
+        problem = make_problem()
+        assert problem.group_pair() == ("M", "F")
+        assert problem.group_pair(("F", "M")) == ("F", "M")
+        assert make_problem(groups=("A", "B", "C") * 2).group_pair() is None
+        with pytest.raises(ValueError, match="the two groups must differ, both are 'M'"):
+            problem.group_pair(("M", "M"))
+        with pytest.raises(ValueError, match="group 'X' has no items"):
+            problem.group_pair(("M", "X"))
+
     def test_duplicate_ids_rejected(self):
         items = (
             Item(id="a", group="G", utility=0.5),
@@ -185,14 +199,9 @@ class TestUtilityAndExposure:
 
     def test_group_exposures_match_oracle(self):
         problem = make_problem()
-        P = np.eye(6)
-        v = problem.bias
-        assert group_exposure(P, v, problem.group_indices("M")) == pytest.approx(
-            EXPOSURE_M, abs=1e-9
-        )
-        assert group_exposure(P, v, problem.group_indices("F")) == pytest.approx(
-            EXPOSURE_F, abs=1e-9
-        )
+        metrics = evaluate(np.eye(6), problem)
+        assert metrics.group("M").exposure == pytest.approx(EXPOSURE_M, abs=1e-9)
+        assert metrics.group("F").exposure == pytest.approx(EXPOSURE_F, abs=1e-9)
 
     def test_exposure_conservation(self):
         # total exposure equals sum(v) for every doubly stochastic matrix
@@ -234,10 +243,6 @@ class TestUtilityAndExposure:
         problem = make_problem()
         with pytest.raises(ValueError, match="does not match problem size"):
             utility(np.eye(4), problem)
-
-    def test_empty_group_exposure_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            group_exposure(np.eye(3), np.ones(3), np.array([], dtype=int))
 
 
 def random_doubly_stochastic(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from fairexposure.constraints import (
     FairnessConstraint,
@@ -18,7 +19,6 @@ from fairexposure.constraints import (
 from fairexposure.core import (
     PositionBias,
     RankingProblem,
-    group_exposure,
     permutation_matrix,
     prp_ranking,
     stochastic_violation,
@@ -26,11 +26,13 @@ from fairexposure.core import (
 )
 from fairexposure.datasets import load_jobseeker, load_synthetic_news
 from fairexposure.lp import (
+    NumericalFailure,
     build_lp,
     dump_lp,
     solve,
     solve_problem,
 )
+from fairexposure.metrics import evaluate
 
 from .test_core import make_problem
 
@@ -162,10 +164,8 @@ class TestSolve:
         report = solve_problem(problem, [demographic_parity(problem, "M", "F")])
         assert report.status == "optimal"
         assert report.objective == pytest.approx(3.8031, abs=5e-4)
-        P, v = report.matrix.entries, problem.bias
-        gap = group_exposure(P, v, problem.group_indices("M")) - group_exposure(
-            P, v, problem.group_indices("F")
-        )
+        metrics = evaluate(report.matrix, problem)
+        gap = metrics.group("M").exposure - metrics.group("F").exposure
         assert abs(gap) <= 1e-6
 
     def test_single_item(self):
@@ -203,6 +203,13 @@ class TestSolve:
         assert report.status == "infeasible"
         assert report.matrix is None
         assert any("disparate-treatment" in lbl for lbl in report.constraint_labels)
+
+    def test_other_solver_status_raises(self, monkeypatch):
+        # HiGHS status 3 (unbounded) cannot occur with every variable in [0, 1]
+        unbounded = OptimizeResult(status=3, message="The problem is unbounded.", nit=0)
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: unbounded)
+        with pytest.raises(NumericalFailure, match="status 3"):
+            solve_problem(make_problem())
 
     def test_constraint_labels_in_given_order(self):
         problem = make_problem()

@@ -185,6 +185,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="has no items"):
             evaluate(np.eye(6), make_problem(), group_pair=("M", "X"))
 
+    def test_same_group_twice_rejected(self):
+        with pytest.raises(ValueError, match="the two groups must differ, both are 'M'"):
+            evaluate(np.eye(6), make_problem(), group_pair=("M", "M"))
+
     def test_to_dict_round_trips_through_json(self):
         import json
 

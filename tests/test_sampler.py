@@ -8,8 +8,9 @@ from scipy import stats
 
 from fairexposure.bvn import BvnDecomposition, BvnTerm, decompose
 from fairexposure.constraints import demographic_parity
-from fairexposure.core import group_exposure, permutation_matrix
+from fairexposure.core import permutation_matrix
 from fairexposure.lp import solve_problem
+from fairexposure.metrics import evaluate
 from fairexposure.sampler import _term_index, hash_user_key, sample_for_user, sample_indices
 
 from .test_core import make_problem
@@ -102,8 +103,8 @@ class TestSample:
         for k, term in enumerate(dec.terms):
             empirical[term.ranking] += counts[k] * v
         empirical /= idx.size
-        g0 = group_exposure(report.matrix, v, problem.group_indices("M"))
-        g1 = group_exposure(report.matrix, v, problem.group_indices("F"))
+        metrics = evaluate(report.matrix, problem)
+        g0, g1 = metrics.group("M").exposure, metrics.group("F").exposure
         emp0 = float(empirical[problem.group_indices("M")].mean())
         emp1 = float(empirical[problem.group_indices("F")].mean())
         assert emp0 == pytest.approx(g0, rel=0.01)

@@ -7,7 +7,7 @@ import pytest
 
 from fairexposure.bvn import BvnDecomposition, BvnTerm, decompose
 from fairexposure.constraints import demographic_parity, disparate_treatment
-from fairexposure.core import PositionBias, group_exposure
+from fairexposure.core import PositionBias
 from fairexposure.lp import solve_problem
 from fairexposure.metrics import evaluate
 from fairexposure.simulator import simulate
@@ -55,6 +55,12 @@ class TestSimulateBasics:
             simulate(single_term(range(6)), problem, n_users=1, seed=-1)
         with pytest.raises(ValueError, match="decomposition is over"):
             simulate(single_term(range(4)), problem, n_users=1, seed=1)
+
+    def test_same_group_twice_rejected(self):
+        with pytest.raises(ValueError, match="the two groups must differ, both are 'M'"):
+            simulate(
+                single_term(range(6)), make_problem(), n_users=1, seed=1, group_pair=("M", "M")
+            )
 
 
 class TestDeterminism:
@@ -111,9 +117,9 @@ class TestConvergence:
 
         P = reconstruct(dec)
         report = simulate(dec, problem, n_users=100_000, seed=29)
+        metrics = evaluate(P, problem)
         for label in ("M", "F"):
-            idx = problem.group_indices(label)
-            analytic = report.scale * group_exposure(P, problem.bias, idx)
+            analytic = report.scale * metrics.group(label).exposure
             gs = report.group(label)
             assert abs(gs.exposure - analytic) <= 3.0 * max(gs.exposure_se, 1e-6)
 
