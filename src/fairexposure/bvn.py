@@ -195,11 +195,9 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
     return BvnDecomposition(terms=terms, residual=residual)
 
 
-def reconstruct(decomposition: BvnDecomposition, n: int | None = None) -> np.ndarray:
+def reconstruct(decomposition: BvnDecomposition) -> np.ndarray:
     """Dense matrix ``sum(theta_i * Pi_i)`` of a decomposition."""
     size = decomposition.n
-    if n is not None and n != size:
-        raise ValueError(f"decomposition is over {size} items, not {n}")
     out = np.zeros((size, size))
     cols = np.arange(size)
     for term in decomposition.terms:

@@ -74,7 +74,7 @@ def _load_json(path: str, what: str) -> dict:
     text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -273,15 +273,18 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _item_ids(payload: dict, n: int) -> list[str]:
-    problem_payload = payload.get("problem")
-    if isinstance(problem_payload, dict) and "items" in problem_payload:
-        try:
-            ids = [str(row["id"]) for row in problem_payload["items"]]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"decomposition is missing item ids ({exc})") from None
-        if len(ids) == n:
-            return ids
-    return [str(i) for i in range(n)]
+    """Ids of the embedded problem's items; positions when none is embedded."""
+    if payload.get("problem") is None:
+        return [str(i) for i in range(n)]
+    try:
+        ids = [row["id"] for row in payload["problem"]["items"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"decomposition is missing item ids ({exc})") from None
+    if len(ids) != n:
+        raise ValueError(f"decomposition ranks {n} items, its problem lists {len(ids)}")
+    if not all(isinstance(i, str) for i in ids):
+        raise ValueError("decomposition item ids must be strings")
+    return ids
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:

@@ -1,9 +1,10 @@
 """Builders reducing fairness notions to linear constraints ``f @ P @ g = h``.
 
-Every builder returns a :class:`FairnessConstraint` whose per-item
-coefficient vector ``f`` encodes group membership (and, for impact
-constraints, relevance), whose per-position vector ``g`` is the position
-bias, and whose right-hand side is 0.  Three notions are provided:
+Every fairness notion is one or more equalities ``f @ P @ g = h``; the LP
+has no inequality rows.  Every builder returns a :class:`FairnessConstraint`
+whose per-item coefficient vector ``f`` encodes group membership (and, for
+impact constraints, relevance), whose per-position vector ``g`` is the
+position bias, and whose right-hand side is 0.  Three notions are provided:
 
 * demographic parity — equal average group exposure;
 * disparate treatment — group exposure proportional to mean group utility;
@@ -12,7 +13,7 @@ bias, and whose right-hand side is 0.  Three notions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,18 +29,15 @@ __all__ = [
     "NOTIONS",
 ]
 
-_RELATIONS = ("equal", "less-equal", "greater-equal")
-
 
 @dataclass(frozen=True, eq=False)
 class FairnessConstraint:
-    """One linear constraint ``f @ P @ g  <relation>  h`` on the matrix P."""
+    """One linear equality ``f @ P @ g = h`` on the matrix P."""
 
     f: np.ndarray
     g: np.ndarray
     h: float = 0.0
-    relation: str = "equal"
-    label: str = ""
+    label: str = field(default="", kw_only=True)
 
     def __post_init__(self) -> None:
         f = np.asarray(self.f, dtype=float)
@@ -48,14 +46,16 @@ class FairnessConstraint:
             raise ValueError(
                 f"f and g must be vectors of equal length, got {f.shape} and {g.shape}"
             )
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
+        h = float(self.h)
+        if not (np.isfinite(f).all() and np.isfinite(g).all() and np.isfinite(h)):
+            raise ValueError(f"constraint {self.label!r} has a non-finite f, g or h")
         f = f.copy()
         g = g.copy()
         f.flags.writeable = False
         g.flags.writeable = False
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
 
     @property
     def n(self) -> int:
@@ -66,13 +66,8 @@ class FairnessConstraint:
         return float(self.f @ as_matrix(P) @ self.g)
 
     def residual(self, P: MatrixLike) -> float:
-        """Violation of the constraint at ``P`` (0 when satisfied)."""
-        gap = self.value(P) - self.h
-        if self.relation == "equal":
-            return abs(gap)
-        if self.relation == "less-equal":
-            return max(0.0, gap)
-        return max(0.0, -gap)
+        """Violation ``|f @ P @ g - h|`` of the constraint at ``P``."""
+        return abs(self.value(P) - self.h)
 
 
 def _membership(problem: RankingProblem, group_a: str, group_b: str):
@@ -111,9 +106,7 @@ def demographic_parity(
     f = np.zeros(problem.n)
     f[idx_a] = 1.0 / idx_a.size
     f[idx_b] = -1.0 / idx_b.size
-    return FairnessConstraint(
-        f, problem.bias, 0.0, "equal", f"demographic-parity:{group_a},{group_b}"
-    )
+    return FairnessConstraint(f, problem.bias, label=f"demographic-parity:{group_a},{group_b}")
 
 
 def disparate_treatment(
@@ -128,9 +121,7 @@ def disparate_treatment(
     f = np.zeros(problem.n)
     f[idx_a] = 1.0 / (idx_a.size * mean_a)
     f[idx_b] = -1.0 / (idx_b.size * mean_b)
-    return FairnessConstraint(
-        f, problem.bias, 0.0, "equal", f"disparate-treatment:{group_a},{group_b}"
-    )
+    return FairnessConstraint(f, problem.bias, label=f"disparate-treatment:{group_a},{group_b}")
 
 
 def disparate_impact(
@@ -143,9 +134,7 @@ def disparate_impact(
     """
     treatment = disparate_treatment(problem, group_a, group_b)
     f = treatment.f * problem.utilities
-    return FairnessConstraint(
-        f, problem.bias, 0.0, "equal", f"disparate-impact:{group_a},{group_b}"
-    )
+    return FairnessConstraint(f, problem.bias, label=f"disparate-impact:{group_a},{group_b}")
 
 
 NOTIONS = {

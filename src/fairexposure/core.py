@@ -65,6 +65,8 @@ class Item:
     utility: float
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.id, str) and isinstance(self.group, str)):
+            raise ValueError(f"item id and group must be strings, got {self.id!r}, {self.group!r}")
         if not (isinstance(self.utility, (int, float)) and math.isfinite(self.utility)):
             raise ValueError(f"utility of item {self.id!r} must be a finite number")
         if not 0.0 <= self.utility <= 1.0:

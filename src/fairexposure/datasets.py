@@ -52,11 +52,14 @@ def read_items_csv(source: Source) -> tuple[Item, ...]:
     The first row must be exactly ``id,group,utility``.  Errors carry the
     1-based line number of the offending row.
     """
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))  # type: ignore[arg-type]
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+    try:
+        if hasattr(source, "read"):
+            rows = list(csv.reader(source))  # type: ignore[arg-type]
+        else:
+            with open(source, "r", encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle))
+    except csv.Error as exc:
+        raise ValueError(f"not a valid CSV file: {exc}") from None
     if not rows:
         raise ValueError("empty input: expected header 'id,group,utility'")
     if [cell.strip() for cell in rows[0]] != list(CSV_HEADER):

@@ -10,10 +10,12 @@ entries of the doubly stochastic matrix P:
                 0 <= P[i, j] <= 1.
 
 Variables are flattened row-major: variable k is entry ``divmod(k, n)``.
-Only the objective and the fairness constraints vary; the 2N row- and
-column-sum rows are implied by N, so ``solve`` builds them as one sparse
-block and stacks the dense rank-1 fairness rows below it.  Those 2N rows
-have rank 2N - 1; all are passed and HiGHS tolerates the redundancy.
+Every row is an equality.  ``_rows`` is the one row builder, used by both
+``solve`` (as HiGHS's ``A_eq``/``b_eq``) and ``dump_lp``: the n row sums,
+then the n column sums, as one sparse block, then one dense rank-1 row
+``outer(f, g)`` with right-hand side h per fairness constraint
+``f @ P @ g = h``, in the order given.  The 2N sum rows have rank 2N - 1;
+all are passed and HiGHS tolerates the redundancy.
 Solutions are certified after the fact: entries are clamped to [0, 1]
 only within 1e-9 of the bounds, never renormalized, and the solve fails
 if ``stochastic_violation`` or any constraint's ``residual`` exceeds the
@@ -23,9 +25,9 @@ Memory grows as N² per fairness row; HiGHS solve time, not assembly,
 limits practical problems to a few hundred items.
 
 Import rule: scipy is imported inside the functions that call it
-(``solve``, ``_stochastic_rows`` and ``bvn.decompose``), never at
-module level, so that only the ``solve`` and ``decompose`` commands pay
-for loading it (README, "Scale").
+(``solve``, ``_rows`` and ``bvn.decompose``), never at module level, so
+that only the ``solve`` and ``decompose`` commands pay for loading it
+(README, "Scale").
 """
 
 from __future__ import annotations
@@ -114,28 +116,21 @@ def build_lp(
     return LinearProgram(n=n, objective=objective, constraints=tuple(constraints))
 
 
-def _stochastic_rows(n: int):
-    """The n row-sum rows, then the n column-sum rows, as one sparse CSR block."""
+def _rows(lp: LinearProgram):
+    """The program's equality rows as (CSR matrix, right-hand sides).
+
+    The n row-sum rows, then the n column-sum rows, then one row
+    ``outer(f, g)`` per fairness constraint in the order given.
+    """
     from scipy import sparse
 
+    n = lp.n
     ones, eye = np.ones((1, n)), sparse.eye_array(n)
-    return sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)], format="csr")
-
-
-def _fairness_rows(
-    constraints: Sequence[FairnessConstraint], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rows ``outer(f, g)`` and right-hand sides, ``>=`` flipped to ``<=``."""
-    signs = [-1.0 if c.relation == "greater-equal" else 1.0 for c in constraints]
-    rows = [s * np.outer(c.f, c.g).ravel() for s, c in zip(signs, constraints)]
-    rhs = [s * c.h for s, c in zip(signs, constraints)]
-    return np.array(rows).reshape(len(rows), n * n), np.array(rhs, dtype=float)
-
-
-def _split(lp: LinearProgram) -> tuple[list[FairnessConstraint], list[FairnessConstraint]]:
-    """Equality constraints and inequality constraints, each in given order."""
-    equal = [c for c in lp.constraints if c.relation == "equal"]
-    return equal, [c for c in lp.constraints if c.relation != "equal"]
+    fair = np.array([np.outer(c.f, c.g).ravel() for c in lp.constraints]).reshape(-1, n * n)
+    rows = sparse.vstack(
+        [sparse.kron(eye, ones), sparse.kron(ones, eye), sparse.csr_array(fair)], format="csr"
+    )
+    return rows, np.concatenate([np.ones(2 * n), [c.h for c in lp.constraints]])
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
@@ -153,22 +148,11 @@ def solve(lp: LinearProgram) -> SolveReport:
     optimum nor infeasibility, or when a claimed optimum violates some constraint by more than ``TOLERANCE``
     after clamping.
     """
-    from scipy import sparse
     from scipy.optimize import linprog
 
     n = lp.n
-    equal, other = _split(lp)
-    eq_rows, eq_rhs = _fairness_rows(equal, n)
-    ub_rows, ub_rhs = _fairness_rows(other, n)
-    result = linprog(
-        -lp.objective,
-        A_eq=sparse.vstack([_stochastic_rows(n), sparse.csr_array(eq_rows)], format="csr"),
-        b_eq=np.concatenate([np.ones(2 * n), eq_rhs]),
-        A_ub=ub_rows if other else None,
-        b_ub=ub_rhs if other else None,
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
+    rows, rhs = _rows(lp)
+    result = linprog(-lp.objective, A_eq=rows, b_eq=rhs, bounds=(0.0, 1.0), method="highs")
     iterations = int(getattr(result, "nit", 0) or 0)
     labels = tuple(c.label for c in lp.constraints)
 
@@ -204,24 +188,14 @@ def _coef(value: float) -> str:
     return repr(float(value))
 
 
-def _row_text(
-    name: str, coeffs: np.ndarray, n: int, op: str | None = None, rhs: float = 0.0
-) -> str:
+def _row_text(name: str, cols: np.ndarray, values: np.ndarray, variables: list[str]) -> str:
+    """One row as `` name: c p_i_j ...``, from its column indices and values."""
     terms = []
-    for k in np.flatnonzero(coeffs):
-        i, j = divmod(int(k), n)
-        c = float(coeffs[k])
+    for k, c in zip(cols.tolist(), values.tolist()):
         sign = "-" if c < 0 else "+"
         prefix = sign if terms or sign == "-" else ""
-        terms.append(f"{prefix} {_coef(abs(c))} p_{i}_{j}".lstrip())
-    body = " ".join(terms) if terms else "0 p_0_0"
-    if op is None:
-        return f" {name}: {body}"
-    return f" {name}: {body} {op} {_coef(rhs)}"
-
-
-def _sum_text(name: str, variables: list[str]) -> str:
-    return f" {name}: " + " + ".join(f"1.0 {p}" for p in variables) + " = 1.0"
+        terms.append(f"{prefix} {_coef(abs(c))} {variables[k]}".lstrip())
+    return f" {name}: " + (" ".join(terms) if terms else "0 p_0_0")
 
 
 def dump_lp(lp: LinearProgram) -> str:
@@ -231,17 +205,19 @@ def dump_lp(lp: LinearProgram) -> str:
     be fed to an external LP solver for cross-checking.
     """
     n = lp.n
-    lines = ["Maximize", _row_text("obj", lp.objective, n), "Subject To"]
-    for i in range(n):
-        lines.append(_sum_text(f"row_sum_{i}", [f"p_{i}_{j}" for j in range(n)]))
-    for j in range(n):
-        lines.append(_sum_text(f"col_sum_{j}", [f"p_{i}_{j}" for i in range(n)]))
-    for prefix, op, group in zip(("fair_", "fair_ub_"), ("=", "<="), _split(lp)):
-        rows, rhs = _fairness_rows(group, n)
-        for k, c in enumerate(group):
-            lines.append(f"\\ {c.label}")
-            lines.append(_row_text(f"{prefix}{k}", rows[k], n, op, float(rhs[k])))
+    variables = [f"p_{i}_{j}" for i in range(n) for j in range(n)]
+    cols = np.flatnonzero(lp.objective)
+    lines = ["Maximize", _row_text("obj", cols, lp.objective[cols], variables), "Subject To"]
+    rows, rhs = _rows(lp)
+    names = [f"row_sum_{i}" for i in range(n)] + [f"col_sum_{j}" for j in range(n)]
+    names += [f"fair_{k}" for k in range(len(lp.constraints))]
+    for r, name in enumerate(names):
+        if r >= 2 * n:
+            lines.append(f"\\ {lp.constraints[r - 2 * n].label}")
+        span = slice(rows.indptr[r], rows.indptr[r + 1])
+        row = _row_text(name, rows.indices[span], rows.data[span], variables)
+        lines.append(f"{row} = {_coef(rhs[r])}")
     lines.append("Bounds")
-    lines.extend(f" 0 <= p_{i}_{j} <= 1" for i in range(n) for j in range(n))
+    lines.extend(f" 0 <= {v} <= 1" for v in variables)
     lines.append("End")
     return "\n".join(lines) + "\n"

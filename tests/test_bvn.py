@@ -294,11 +294,6 @@ class TestReconstruct:
         dec = decompose(np.full((2, 2), 0.5))
         np.testing.assert_allclose(reconstruct(dec), np.full((2, 2), 0.5), atol=1e-12)
 
-    def test_size_mismatch_rejected(self):
-        dec = decompose(np.eye(3))
-        with pytest.raises(ValueError, match="3 items"):
-            reconstruct(dec, n=4)
-
 
 class TestTermBound:
     """Greedy extraction alone stays within term_bound(n)."""

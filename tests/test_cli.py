@@ -79,6 +79,15 @@ def jobseeker_file(tmp_path):
     return str(path)
 
 
+def strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def solve_json(run, jobseeker_file, *extra):
     code, out, err = run(["solve", jobseeker_file, *extra])
     assert code == 0, err
@@ -397,6 +406,21 @@ class TestSample:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_item_count_mismatch_rejected(self, run, parity_decomposition):
+        payload = json.loads(parity_decomposition)
+        payload["problem"]["items"].pop()
+        code, out, err = run(["sample", "--count", "2"], stdin_text=json.dumps(payload))
+        assert (code, out) == (1, "")
+        assert err == "error: decomposition ranks 6 items, its problem lists 5\n"
+
+    def test_positional_ids_without_problem(self, run, parity_decomposition):
+        payload = json.loads(parity_decomposition)
+        payload["problem"] = None
+        code, out, _ = run(["sample", "--count", "3"], stdin_text=json.dumps(payload))
+        assert code == 0
+        for line in out.splitlines():
+            assert sorted(line.split(",")) == [str(i) for i in range(6)]
+
 
 class TestEvaluate:
     def test_prp_metrics(self, run, jobseeker_file):
@@ -585,11 +609,7 @@ class TestFeasibility:
             ]
         )
         assert code == 0
-
-        def reject(constant):
-            raise ValueError(f"not strict JSON: {constant}")
-
-        payload = json.loads(out, parse_constant=reject)
+        payload = strict_json(out)
         assert payload["attainable_range"] == [0.0, None]
 
 
@@ -699,3 +719,55 @@ class TestImportGuard:
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == "[]"
+
+
+def _lottery_payload(items):
+    """A two-item identity solution and lottery, embedding ``items`` as its problem."""
+    bias = PositionBias.log_discount(len(items))
+    return json.dumps(
+        {
+            "status": "optimal",
+            "n": 2,
+            "matrix": [1.0, 0.0, 0.0, 1.0],
+            "terms": [{"theta": 1.0, "ranking": [0, 1]}],
+            "residual": 0.0,
+            "problem": {
+                "items": items,
+                "bias": {"kind": bias.kind, "values": bias.values.tolist()},
+            },
+        }
+    )
+
+
+CONTRACT_COMMANDS = {
+    "solve": ["solve"],
+    "decompose": ["decompose"],
+    "sample": ["sample", "--count", "2"],
+    "evaluate": ["evaluate"],
+    "feasibility": ["feasibility", "--notion", "demographic-parity", "--groups", "A,B"],
+    "simulate": ["simulate", "--users", "10"],
+}
+CONTRACT_INPUTS = {
+    "empty": "",
+    "non-object": "[1, 2]",
+    "truncated": '{"n": 2, "matrix": [1.0, 0.0',
+    "bad-csv-header": "name,team,score\nx,A,0.5\n",
+    "deep-nesting": "[" * 100000 + "]" * 100000,
+    "non-string-id": _lottery_payload(
+        [{"id": [1], "group": "A", "utility": 0.9}, {"id": "b", "group": "B", "utility": 0.4}]
+    ),
+    "item-count-mismatch": _lottery_payload([{"id": "a", "group": "A", "utility": 0.9}]),
+}
+
+
+class TestContract:
+    """Malformed input ends in a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("stdin_text", CONTRACT_INPUTS.values(), ids=CONTRACT_INPUTS)
+    @pytest.mark.parametrize("args", CONTRACT_COMMANDS.values(), ids=CONTRACT_COMMANDS)
+    def test_exit_code_and_strict_json(self, run, args, stdin_text):
+        code, out, err = run(args, stdin_text=stdin_text)
+        assert code in {0, 1, 2, 3}
+        assert "Traceback" not in err
+        if out:
+            strict_json(out)

@@ -28,19 +28,32 @@ class TestFairnessConstraint:
         with pytest.raises(ValueError, match="equal length"):
             FairnessConstraint(f=np.ones(3), g=np.ones(4))
 
-    def test_rejects_unknown_relation(self):
-        with pytest.raises(ValueError, match="relation"):
-            FairnessConstraint(f=np.ones(2), g=np.ones(2), relation="approx")
-
-    def test_residual_by_relation(self):
+    def test_residual_is_distance_from_h(self):
         P = np.eye(2)
         f = np.array([1.0, -1.0])
         g = np.array([1.0, 0.25])
         # value = 1*1 - 1*0.25 = 0.75
-        assert FairnessConstraint(f, g, 0.0, "equal").residual(P) == pytest.approx(0.75)
-        assert FairnessConstraint(f, g, 0.0, "less-equal").residual(P) == pytest.approx(0.75)
-        assert FairnessConstraint(f, g, 0.0, "greater-equal").residual(P) == 0.0
-        assert FairnessConstraint(f, g, 1.0, "less-equal").residual(P) == 0.0
+        assert FairnessConstraint(f, g, 0.0).residual(P) == pytest.approx(0.75)
+        assert FairnessConstraint(f, g, 1.0).residual(P) == pytest.approx(0.25)
+        assert FairnessConstraint(f, g, 0.75).residual(P) == 0.0
+
+    def test_label_is_keyword_only(self):
+        # a positional fourth argument was the removed inequality relation
+        with pytest.raises(TypeError):
+            FairnessConstraint(np.ones(2), np.ones(2), 0.0, "less-equal")
+        assert FairnessConstraint(np.ones(2), np.ones(2), label="x").label == "x"
+
+    @pytest.mark.parametrize(
+        "f, g, h",
+        [
+            ([1.0, np.inf], [1.0, 1.0], 0.0),
+            ([1.0, 1.0], [np.nan, 1.0], 0.0),
+            ([1.0, 1.0], [1.0, 1.0], -np.inf),
+        ],
+    )
+    def test_rejects_non_finite(self, f, g, h):
+        with pytest.raises(ValueError, match="non-finite"):
+            FairnessConstraint(np.array(f), np.array(g), h, label="c")
 
     def test_vectors_read_only(self):
         c = demographic_parity(make_problem(), "M", "F")
@@ -60,7 +73,7 @@ class TestDemographicParity:
     def test_coefficients(self):
         c = demographic_parity(make_problem(), "M", "F")
         np.testing.assert_allclose(c.f, [1 / 3, 1 / 3, 1 / 3, -1 / 3, -1 / 3, -1 / 3])
-        assert c.h == 0.0 and c.relation == "equal"
+        assert c.h == 0.0
 
     def test_g_is_position_bias(self):
         problem = make_problem()

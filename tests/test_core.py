@@ -98,6 +98,11 @@ class TestItem:
         with pytest.raises(ValueError, match="utility"):
             Item(id="a", group="G", utility=float("nan"))
 
+    @pytest.mark.parametrize("item_id, group", [([1], "G"), ("a", ["G"]), (1, "G")])
+    def test_rejects_non_string_id_or_group(self, item_id, group):
+        with pytest.raises(ValueError, match="must be strings"):
+            Item(id=item_id, group=group, utility=0.5)
+
 
 class TestRankingProblem:
     def test_group_labels_first_appearance_order(self):

@@ -64,6 +64,11 @@ class TestReadItemsCsv:
         with pytest.raises(ValueError, match="line 3: duplicate item id 'a'"):
             read_items_csv(io.StringIO("id,group,utility\na,G,0.5\na,H,0.6\n"))
 
+    def test_oversized_field_rejected(self):
+        # one field past the csv module's 131072-character limit
+        with pytest.raises(ValueError, match="not a valid CSV file"):
+            read_items_csv(io.StringIO("[" * 200000))
+
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError, match="line 2: empty item id"):
             read_items_csv(io.StringIO("id,group,utility\n,G,0.5\n"))
