@@ -24,93 +24,27 @@ Typical flow::
 
 from __future__ import annotations
 
-from .bvn import BvnDecomposition, BvnTerm, decompose, reconstruct, term_bound
-from .constraints import (
-    NOTIONS,
-    FairnessConstraint,
-    demographic_parity,
-    disparate_impact,
-    disparate_treatment,
-    multi_group_constraints,
-)
-from .core import (
-    DoublyStochasticMatrix,
-    Item,
-    PositionBias,
-    RankingProblem,
-    permutation_matrix,
-    prp_ranking,
-    stochastic_violation,
-    utility,
-)
-from .datasets import (
-    jobseeker_items,
-    load_jobseeker,
-    load_synthetic_news,
-    read_items_csv,
-    synthetic_news_items,
-    write_items_csv,
-)
-from .feasibility import FeasibilityVerdict, check_feasibility, dt_exposure_ratio_range
-from .lp import (
-    LinearProgram,
-    NumericalFailure,
-    SolveReport,
-    build_lp,
-    dump_lp,
-    solve,
-    solve_problem,
-)
-from .metrics import GroupMetrics, MetricsReport, evaluate
-from .sampler import hash_user_key, sample_for_user, sample_indices
-from .simulator import GroupSimulation, SimulationReport, simulate
+from . import bvn, constraints, core, datasets, feasibility, lp, metrics, sampler, simulator
+from .bvn import *
+from .constraints import *
+from .core import *
+from .datasets import *
+from .feasibility import *
+from .lp import *
+from .metrics import *
+from .sampler import *
+from .simulator import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BvnDecomposition",
-    "BvnTerm",
-    "DoublyStochasticMatrix",
-    "FairnessConstraint",
-    "FeasibilityVerdict",
-    "GroupMetrics",
-    "GroupSimulation",
-    "Item",
-    "LinearProgram",
-    "MetricsReport",
-    "NOTIONS",
-    "NumericalFailure",
-    "PositionBias",
-    "RankingProblem",
-    "SimulationReport",
-    "SolveReport",
-    "build_lp",
-    "check_feasibility",
-    "decompose",
-    "demographic_parity",
-    "disparate_impact",
-    "disparate_treatment",
-    "dt_exposure_ratio_range",
-    "dump_lp",
-    "evaluate",
-    "hash_user_key",
-    "jobseeker_items",
-    "load_jobseeker",
-    "load_synthetic_news",
-    "multi_group_constraints",
-    "permutation_matrix",
-    "prp_ranking",
-    "read_items_csv",
-    "reconstruct",
-    "sample_for_user",
-    "sample_indices",
-    "simulate",
-    "solve",
-    "solve_problem",
-    "stochastic_violation",
-    "synthetic_news_items",
-    "term_bound",
-    "utility",
-    "write_items_csv",
-    "__version__",
-]
+# each module's __all__ is the one declaration of its public names
+__all__ = ["__version__"]
+__all__ += bvn.__all__
+__all__ += constraints.__all__
+__all__ += core.__all__
+__all__ += datasets.__all__
+__all__ += feasibility.__all__
+__all__ += lp.__all__
+__all__ += metrics.__all__
+__all__ += sampler.__all__
+__all__ += simulator.__all__

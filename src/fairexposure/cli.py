@@ -157,10 +157,12 @@ def _solution_matrix(payload: dict, command: str) -> np.ndarray:
     if status != "optimal":
         raise ValueError(f"solution status is {status!r}; nothing to {command}")
     try:
-        n = int(payload["n"])
+        n = payload["n"]
         flat = np.asarray(payload["matrix"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"solution is missing matrix data ({exc})") from None
+    if type(n) is not int or n < 0:
+        raise ValueError(f"solution n must be a non-negative integer, got {n!r}")
     if flat.shape != (n * n,):
         raise ValueError(f"solution matrix has {flat.size} entries, expected {n * n}")
     return flat.reshape(n, n)

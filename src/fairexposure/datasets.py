@@ -27,8 +27,6 @@ import numpy as np
 from .core import Item
 
 __all__ = [
-    "CSV_HEADER",
-    "NEWS_SEED",
     "jobseeker_items",
     "load_jobseeker",
     "load_synthetic_news",

@@ -145,6 +145,10 @@ def _ratio_with_se(
     return ratio, se
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def simulate(
     decomposition: BvnDecomposition,
     problem: RankingProblem,
@@ -161,10 +165,10 @@ def simulate(
         raise ValueError(
             f"decomposition is over {decomposition.n} items, problem has {n}"
         )
-    if n_users < 1:
-        raise ValueError(f"n_users must be at least 1, got {n_users}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not _is_int(n_users) or n_users < 1:
+        raise ValueError(f"n_users must be an integer of at least 1, got {n_users!r}")
+    if not _is_int(seed) or not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
     labels = problem.group_labels
     group_pair = problem.group_pair(group_pair)

@@ -269,6 +269,13 @@ class TestDecompose:
         assert code == 1
         assert "doubly stochastic" in err
 
+    @pytest.mark.parametrize("n", ["1.5", "true", "-1", "1e400"])
+    @pytest.mark.parametrize("command", ["decompose", "evaluate"])
+    def test_non_integer_n_rejected(self, run, command, n):
+        code, out, err = run([command], stdin_text=f'{{"n": {n}, "matrix": [1.0]}}')
+        assert code == 1 and out == ""
+        assert "solution n must be a non-negative integer" in err
+
     def test_empty_matrix_rejected(self, run):
         code, out, err = run(["decompose"], stdin_text=json.dumps({"n": 0, "matrix": []}))
         assert code == 1
@@ -632,6 +639,14 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert "the two groups must differ, both are 'F'" in err
 
+    def test_seed_out_of_range_rejected(self, run, parity_decomposition):
+        code, out, err = run(
+            ["simulate", "--seed", str(2**64)], stdin_text=parity_decomposition
+        )
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert "seed must be an integer in [0, 2**64)" in err
+
     def test_bad_input_rejected(self, run):
         code, _, err = run(["simulate"], stdin_text=json.dumps({"terms": []}))
         assert code == 1
@@ -757,6 +772,7 @@ CONTRACT_INPUTS = {
         [{"id": [1], "group": "A", "utility": 0.9}, {"id": "b", "group": "B", "utility": 0.4}]
     ),
     "item-count-mismatch": _lottery_payload([{"id": "a", "group": "A", "utility": 0.9}]),
+    "infinite-n": '{"n": 1e400, "matrix": [1.0]}',
 }
 
 

@@ -7,9 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from fairexposure.constraints import (
+    NOTIONS,
     FairnessConstraint,
     demographic_parity,
     disparate_impact,
@@ -296,3 +299,50 @@ class TestDump:
         text = dump_lp(build_lp(problem, [build(problem, *groups)]))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest[:16] == DUMP_SHA256[fixture, notion]
+
+
+@st.composite
+def reordered_instances(draw):
+    """2-3 groups over at most 30 items with pairwise-distinct utilities, a
+    notion chained over the groups, log-discount or dcg@k bias, and an item
+    permutation."""
+    labels = ["A", "B", "C"][: draw(st.integers(2, 3))]
+    n = draw(st.integers(len(labels), 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = rng.permutation(labels + list(rng.choice(labels, size=n - len(labels))))
+    utilities = rng.choice(np.arange(1, 1000), size=n, replace=False) / 1000.0
+    if draw(st.booleans()):
+        bias = PositionBias.dcg_at_k(n, k=draw(st.integers(1, n)))
+    else:
+        bias = PositionBias.log_discount(n)
+    notion = draw(st.sampled_from(sorted(NOTIONS)))
+    return utilities, groups, labels, bias, notion, rng.permutation(n)
+
+
+class TestItemOrderInvariance:
+    """Reordering the items moves P's rows but not the optimum's value.
+
+    P itself is not compared: the optimum need not be unique.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(reordered_instances())
+    def test_status_objective_and_exposures_unchanged(self, instance):
+        utilities, groups, labels, bias, notion, order = instance
+        outcomes = []
+        for index in (np.arange(len(order)), order):
+            problem = make_problem(
+                utilities=tuple(utilities[index]), groups=tuple(groups[index]), bias=bias
+            )
+            constraints = multi_group_constraints(problem, notion, labels)
+            report = solve_problem(problem, constraints)
+            exposures = None
+            if report.optimal:
+                metrics = evaluate(report.matrix, problem)
+                exposures = [metrics.group(label).exposure for label in labels]
+            outcomes.append((report.status, report.objective, exposures))
+        (status, objective, exposures), (status_p, objective_p, exposures_p) = outcomes
+        assert status == status_p
+        if status == "optimal":
+            assert objective_p == pytest.approx(objective, rel=1e-9)
+            assert exposures_p == pytest.approx(exposures, rel=1e-9)

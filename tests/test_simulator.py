@@ -51,8 +51,13 @@ class TestSimulateBasics:
         problem = make_problem()
         with pytest.raises(ValueError, match="n_users"):
             simulate(single_term(range(6)), problem, n_users=0, seed=1)
-        with pytest.raises(ValueError, match="seed"):
-            simulate(single_term(range(6)), problem, n_users=1, seed=-1)
+        with pytest.raises(ValueError, match="n_users"):
+            simulate(single_term(range(6)), problem, n_users=10.5, seed=1)
+        for seed in (-1, 1.5, True, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                simulate(single_term(range(6)), problem, n_users=1, seed=seed)
+        top = simulate(single_term(range(6)), problem, n_users=1, seed=2**64 - 1)
+        assert top.seed == 2**64 - 1
         with pytest.raises(ValueError, match="decomposition is over"):
             simulate(single_term(range(4)), problem, n_users=1, seed=1)
 
