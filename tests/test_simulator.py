@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -155,3 +158,80 @@ class TestReportShape:
         report = simulate(dec, problem, n_users=10, seed=1)
         with pytest.raises(ValueError, match="no simulation results"):
             report.group("X")
+
+
+def report_digest(report) -> str:
+    """sha256 over ``to_dict()`` with every float written by ``float.hex``."""
+
+    def exact(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, dict):
+            return {k: exact(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [exact(v) for v in x]
+        return x
+
+    text = json.dumps(exact(report.to_dict()), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def random_lottery(rng, n: int, count: int) -> BvnDecomposition:
+    """``count`` distinct random permutations of n items with random weights."""
+    rankings: dict[tuple, np.ndarray] = {}
+    while len(rankings) < count:
+        r = rng.permutation(n)
+        rankings[tuple(r.tolist())] = r
+    w = rng.random(count) + 0.01
+    return BvnDecomposition(
+        terms=tuple(BvnTerm(t, r) for t, r in zip(w / w.sum(), rankings.values()))
+    )
+
+
+def random_problem(rng, groups, bias=None):
+    utilities = tuple(float(u) for u in rng.random(len(groups)))
+    return make_problem(utilities=utilities, groups=tuple(groups), bias=bias)
+
+
+def pin_case(name: str):
+    """One pinned (decomposition, problem, n_users, seed, group_pair) case."""
+    rng = np.random.default_rng([2024, sum(map(ord, name))])
+    if name == "many-terms":
+        problem = random_problem(rng, ["A"] * 12 + ["B"] * 13)
+        return random_lottery(rng, 25, 500), problem, 20_000, 11, None
+    if name == "three-groups-pair":
+        problem = random_problem(rng, rng.choice(["A", "B", "C"], 12).tolist())
+        return random_lottery(rng, 12, 40), problem, 9_000, 12, ("C", "A")
+    if name == "one-group":
+        problem = random_problem(rng, ["A"] * 7)
+        return random_lottery(rng, 7, 5), problem, 5_000, 13, None
+    if name == "dcg-tail":
+        problem = random_problem(rng, ["A", "B"] * 5, PositionBias.dcg_at_k(10, k=3))
+        return random_lottery(rng, 10, 30), problem, 8_000, 14, None
+    if name == "one-user":
+        problem = random_problem(rng, ["A", "B", "A", "B", "B"])
+        return single_term(rng.permutation(5)), problem, 1, 15, None
+    if name == "two-chunks":
+        problem = random_problem(rng, ["A", "B", "B", "A", "B", "A", "A", "B"])
+        return random_lottery(rng, 8, 40), problem, 16_391, 16, None
+    raise KeyError(name)
+
+
+class TestBitPin:
+    """``simulate`` reports stay bit-identical, float for float."""
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("many-terms", "a43317b8a70400dc10321458408b8ff3bd9e367a31b9ee494a3afd642d5c1a03"),
+            ("three-groups-pair", "cdd310f230491e97b9c149f6dbc7d3c0b450b5b8be18978e4e989fee5addff5c"),
+            ("one-group", "3018ed1193bf198503aaa122e74e53abb1d530f7d479262c3a3379a5cd464de5"),
+            ("dcg-tail", "113a38ba227c39501313ae669ade9c10776df3b46ce0b5f9d92ae919479861ee"),
+            ("one-user", "9f55e2447cb9c2d61d50fb38ad11649ac1ab2c9bd9004dc311eb9e7b1872fc93"),
+            ("two-chunks", "9030ee0566081b26e2d3eaf54d084935cbebe7fa9779bd1bb0c4adbe63a19bef"),
+        ],
+    )
+    def test_report_digest(self, name, digest):
+        dec, problem, n_users, seed, pair = pin_case(name)
+        report = simulate(dec, problem, n_users=n_users, seed=seed, group_pair=pair)
+        assert report_digest(report) == digest
