@@ -75,6 +75,14 @@ class BvnTerm:
         object.__setattr__(self, "ranking", r)
         object.__setattr__(self, "theta", float(self.theta))
 
+    @classmethod
+    def _trusted(cls, theta: float, ranking: np.ndarray) -> "BvnTerm":
+        """A term from a read-only int permutation ``decompose`` found, unchecked."""
+        term = object.__new__(cls)
+        object.__setattr__(term, "theta", theta)
+        object.__setattr__(term, "ranking", ranking)
+        return term
+
 
 @dataclass(frozen=True, eq=False)
 class BvnDecomposition:
@@ -90,18 +98,36 @@ class BvnDecomposition:
     residual: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.terms:
+            n = self.terms[0].ranking.size
+            if any(t.ranking.size != n for t in self.terms):
+                raise ValueError("terms have inconsistent ranking lengths")
+            keys = {tuple(t.ranking.tolist()) for t in self.terms}
+            if len(keys) != len(self.terms):
+                raise ValueError("the same permutation appears in more than one term")
+        object.__setattr__(self, "terms", tuple(self.terms))
+        self._check_totals()
+
+    @classmethod
+    def _trusted(cls, terms: tuple[BvnTerm, ...], residual: float) -> "BvnDecomposition":
+        """A decomposition of distinct, same-length terms, as ``decompose`` builds them.
+
+        Only the term count, the residual and the total weight are checked.
+        """
+        decomposition = object.__new__(cls)
+        object.__setattr__(decomposition, "terms", terms)
+        object.__setattr__(decomposition, "residual", residual)
+        decomposition._check_totals()
+        return decomposition
+
+    def _check_totals(self) -> None:
         if not self.terms:
             raise ValueError("a decomposition needs at least one term")
-        n = self.terms[0].ranking.size
-        if any(t.ranking.size != n for t in self.terms):
-            raise ValueError("terms have inconsistent ranking lengths")
+        n = self.n
         if len(self.terms) > term_bound(n):
             raise ValueError(
                 f"{len(self.terms)} terms exceed the bound {term_bound(n)} for n={n}"
             )
-        keys = {tuple(t.ranking.tolist()) for t in self.terms}
-        if len(keys) != len(self.terms):
-            raise ValueError("the same permutation appears in more than one term")
         bound = _residual_bound(n)
         if not 0.0 <= self.residual <= bound:
             raise ValueError(f"residual must lie in [0, {bound:.3g}], got {self.residual}")
@@ -111,7 +137,6 @@ class BvnDecomposition:
                 f"term weights sum to {total} with residual {self.residual}; "
                 f"expected 1 within {TOLERANCE:g}"
             )
-        object.__setattr__(self, "terms", tuple(self.terms))
 
     @property
     def n(self) -> int:
@@ -190,9 +215,14 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
         capped = theta < low
     residual = max(largest, 0.0)
 
-    order = sorted(range(len(thetas)), key=lambda k: (-thetas[k], rankings[k].tolist()))
-    terms = tuple(BvnTerm(theta=thetas[k], ranking=rankings[k]) for k in order)
-    return BvnDecomposition(terms=terms, residual=residual)
+    # every matching is a permutation and none repeats (module docstring),
+    # so the terms skip the public per-term checks
+    table = np.array(rankings, dtype=int)
+    table.flags.writeable = False
+    # weight descending, then ranking ascending, lexicographically
+    order = np.lexsort(tuple(table.T[::-1]) + (-np.array(thetas),))
+    terms = tuple(BvnTerm._trusted(thetas[k], table[k]) for k in order.tolist())
+    return BvnDecomposition._trusted(terms, residual)
 
 
 def reconstruct(decomposition: BvnDecomposition) -> np.ndarray:

@@ -266,6 +266,11 @@ def as_matrix(P: MatrixLike) -> np.ndarray:
     return np.asarray(P, dtype=float)
 
 
+def _is_int(x) -> bool:
+    """The one integer rule for counts and seeds: an int or numpy integer, never a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def as_ranking(ranking: Sequence[int]) -> np.ndarray:
     """``ranking`` as a new int array, checked to permute 0..n-1.
 

@@ -21,6 +21,7 @@ from typing import Union
 import numpy as np
 
 from .bvn import BvnDecomposition
+from .core import _is_int
 
 __all__ = ["hash_user_key", "sample_indices", "sample_for_user"]
 
@@ -31,9 +32,18 @@ _FNV_PRIME = 0x100000001B3
 RngLike = Union[np.random.Generator, int, None]
 
 
-def hash_user_key(key: Union[str, bytes]) -> int:
-    """64-bit hash of a user key under the pinned algorithm above."""
-    data = key.encode("utf-8") if isinstance(key, str) else bytes(key)
+def hash_user_key(key: Union[str, bytes, bytearray]) -> int:
+    """64-bit hash of a user key under the pinned algorithm above.
+
+    A str key hashes as its UTF-8 bytes; any other type is a TypeError
+    (``bytes(n)`` would read an int as n zero bytes).
+    """
+    if isinstance(key, str):
+        data = key.encode("utf-8")
+    elif isinstance(key, (bytes, bytearray)):
+        data = key
+    else:
+        raise TypeError(f"a user key must be str, bytes or bytearray, got {type(key).__name__}")
     h = _FNV_OFFSET
     for byte in data:
         h ^= byte
@@ -58,12 +68,14 @@ def sample_indices(
     decomposition: BvnDecomposition, count: int, rng: RngLike = None
 ) -> np.ndarray:
     """Draw ``count`` term indices from one stream (vectorized)."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    if not _is_int(count) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     return _term_index(decomposition, np.random.default_rng(rng).random(count))
 
 
-def sample_for_user(decomposition: BvnDecomposition, user_key: Union[str, bytes]) -> np.ndarray:
+def sample_for_user(
+    decomposition: BvnDecomposition, user_key: Union[str, bytes, bytearray]
+) -> np.ndarray:
     """Deterministic ranking for one user: same key, same ranking, always."""
     index = _term_index(decomposition, hash_user_key(user_key) / 2.0**64)
     return decomposition.terms[index].ranking

@@ -11,12 +11,29 @@ Position biases above 1 (the top log-discount weights) are rescaled by
 1/max(v) so they are valid coin probabilities; the scale is recorded in
 the report.  Ratios (DTR/DIR) are unaffected by the common scale.
 
-Randomness is counter-based: users are processed in fixed-size chunks
-and chunk c draws from an independent stream keyed by (seed, c), so
-results are reproducible for a given seed no matter how chunks would be
-scheduled, and two same-seed runs are bit-identical.  Within a chunk
-each user consumes one fixed block of draws: the term pick, then one
-examination coin per position, then one click coin per position.
+Randomness is counter-based: users are processed in chunks of a fixed
+16384 users, and chunk c draws from an independent Philox stream keyed
+by (seed, c).  The fixed chunk size defines the streams, so a seed gives
+the same bits on every run and platform.  Within a chunk each user
+consumes one fixed block of draws: the term pick, then one examination
+coin per position, then one click coin per position.
+
+Each chunk is simulated in one pass over all of its users.  Every user's
+examination and click events are computed at once, the click threshold
+taken from the per-term table ``u[rankings]``.  A stable sort by term
+makes each term's users one contiguous span, in ascending user order.
+Per span, the 0/1 events times the term's position -> group one-hot give
+each user's exact integer group counts, and the span's column sums give
+the per-position counts, scattered to items with the rankings.
+
+Summation order is part of the contract, since it decides the last bits
+of every report.  Counts are integers, so their order is free.  Each
+per-user statistic (a group's exposure x and clickthrough y, their
+squares and the pair's cross products) is summed per term, in term
+order, as one 1-D contiguous ``np.add.reduce`` over that term's users,
+and added to a Python float.  ``count / |G|`` rounds exactly like a mean
+over the group's positions.  So the reports are bit-identical to a
+per-term loop over users; a 2-D or ``reduceat`` sum would change them.
 """
 
 from __future__ import annotations
@@ -28,13 +45,17 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .bvn import BvnDecomposition
-from .core import RankingProblem
+from .core import RankingProblem, _is_int
 from .metrics import _utility_ratio
 from .sampler import _term_index
 
 __all__ = ["GroupSimulation", "SimulationReport", "simulate"]
 
 _CHUNK = 16384
+# multiply-adds in one events x one-hot product: small enough that BLAS
+# keeps it on the calling thread, where waking worker threads for every
+# product of a large span would cost more than the product
+_PRODUCT_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,47 +127,54 @@ class SimulationReport:
         return out
 
 
-class _Moments:
-    """Running sums of a per-user value and of its square."""
-
-    def __init__(self) -> None:
-        self.s = self.ss = 0.0
-
-    def add(self, x: np.ndarray) -> None:
-        self.s += float(x.sum())
-        self.ss += float((x * x).sum())
-
-    def mean_and_se(self, n: int) -> tuple[float, float]:
-        mean = self.s / n
-        var = max(self.ss / n - mean**2, 0.0)
-        return mean, float(np.sqrt(var / n))
+def _mean_and_se(s: float, ss: float, n: int) -> tuple[float, float]:
+    """Mean and standard error from the sums of a per-user value and its square."""
+    mean = s / n
+    var = max(ss / n - mean**2, 0.0)
+    return mean, float(np.sqrt(var / n))
 
 
 def _ratio_with_se(
-    a: _Moments, b: _Moments, cross: float, n: int, norm0: float, norm1: float
+    a: tuple[float, float],
+    b: tuple[float, float],
+    cross: float,
+    n: int,
+    norm0: float,
+    norm1: float,
 ) -> tuple[Optional[float], Optional[float]]:
     """Delta-method estimate of (mean_a/norm0)/(mean_b/norm1).
 
-    ``cross`` is the running sum of the per-user products of a and b.
+    ``a`` and ``b`` are the sums of the per-user values and of their
+    squares; ``cross`` is the sum of the per-user products of a and b.
     The ratio is None where ``evaluate``'s would be undefined.
     """
-    m0 = a.s / n
-    m1 = b.s / n
+    m0 = a[0] / n
+    m1 = b[0] / n
     ratio = _utility_ratio(m0, norm0, m1, norm1)
     if ratio is None:
         return None, None
     if n < 2:
         return ratio, None
-    var0 = max(a.ss / n - m0 * m0, 0.0) / n
-    var1 = max(b.ss / n - m1 * m1, 0.0) / n
+    var0 = max(a[1] / n - m0 * m0, 0.0) / n
+    var1 = max(b[1] / n - m1 * m1, 0.0) / n
     cov = (cross / n - m0 * m1) / n
     rel_var = var0 / m0**2 + var1 / m1**2 - 2.0 * cov / (m0 * m1)
     se = abs(ratio) * float(np.sqrt(max(rel_var, 0.0)))
     return ratio, se
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+def _add_term_sums(totals: list[float], rows: list[np.ndarray], spans: list) -> list[float]:
+    """Each row's running total plus that row's sum over every term's users.
+
+    Each term's sum is one 1-D contiguous ``np.add.reduce`` over its span,
+    added in term order: the rounding a per-term ``x.sum()`` gives.
+    """
+    out = []
+    for total, row in zip(totals, rows):
+        for lo, hi in spans:
+            total += float(np.add.reduce(row[lo:hi]))
+        out.append(total)
+    return out
 
 
 def simulate(
@@ -179,19 +207,25 @@ def simulate(
     scale = 1.0 / vmax if vmax > 1.0 else 1.0
     v_prob = v * scale
 
-    rankings = [t.ranking for t in decomposition.terms]
-    inverses = []
-    for ranking in rankings:
-        inv = np.empty(n, dtype=int)
-        inv[ranking] = np.arange(n)
-        inverses.append(inv)
-
+    rankings = np.stack([t.ranking for t in decomposition.terms])
+    n_terms = len(rankings)
+    click_threshold = u[rankings]  # (term, position)
     group_idx = {label: problem.group_indices(label) for label in labels}
+    n_groups = len(labels)
+    sizes = [float(group_idx[label].size) for label in labels]
+    item_group = np.empty(n, dtype=np.intp)
+    for g, label in enumerate(labels):
+        item_group[group_idx[label]] = g
+    position_group = item_group[rankings]  # (term, position)
+    group_one_hot = np.eye(n_groups, dtype=np.float32)
+    pair = None if group_pair is None else [labels.index(g) for g in group_pair]
+    block_rows = max(1, _PRODUCT_SIZE // (n * n_groups))
+    term_key = np.min_scalar_type(n_terms - 1)
+
     exam_counts = np.zeros(n)
     click_counts = np.zeros(n)
-    exposure_moments = {label: _Moments() for label in labels}
-    click_moments = {label: _Moments() for label in labels}
-    exposure_cross = click_cross = 0.0
+    # per group the sums of x, x^2, y, y^2; then the two cross products
+    totals = [0.0] * (4 * n_groups + 2)
 
     draws_per_user = 2 * n + 1
     n_chunks = (n_users + _CHUNK - 1) // _CHUNK
@@ -200,41 +234,59 @@ def simulate(
         rng = Generator(Philox(key=np.array([seed, chunk], dtype=np.uint64)))
         block = rng.random((count, draws_per_user))
         term_of_user = _term_index(decomposition, block[:, 0])
-        exam_draw = block[:, 1 : n + 1]
-        click_draw = block[:, n + 1 :]
+        events = np.empty((count, 2, n), dtype=bool)  # (user, exam/click, position)
+        np.less(block[:, 1 : n + 1], v_prob, out=events[:, 0])
+        thresholds = np.take(click_threshold, term_of_user, axis=0)
+        np.less(block[:, n + 1 :], thresholds, out=events[:, 1])
+        events[:, 1] &= events[:, 0]
+        del block, thresholds
 
-        for k in range(len(rankings)):
-            users = np.flatnonzero(term_of_user == k)
-            if users.size == 0:
-                continue
-            ranking, inv = rankings[k], inverses[k]
-            examined = exam_draw[users] < v_prob  # (users, position)
-            clicked = examined & (click_draw[users] < u[ranking])
-            exam_counts[ranking] += examined.sum(axis=0)
-            click_counts[ranking] += clicked.sum(axis=0)
+        # each term's users become one contiguous span, in ascending order;
+        # a narrow key lets the stable sort run as a radix sort
+        order = np.argsort(term_of_user.astype(term_key), kind="stable")
+        flags = np.take(events, order, axis=0).astype(np.float32)
+        del events
+        edges = np.searchsorted(term_of_user[order], np.arange(n_terms + 1))
+        present = np.flatnonzero(edges[1:] > edges[:-1])
+        spans = list(zip(edges[present].tolist(), edges[present + 1].tolist()))
+        # exact 0/1 counts per (term, position), scattered to the items
+        position_counts = np.add.reduceat(flags.reshape(count, 2 * n), edges[present], axis=0)
+        shown = rankings[present].ravel()
+        exam_counts += np.bincount(shown, position_counts[:, :n].ravel(), minlength=n)
+        click_counts += np.bincount(shown, position_counts[:, n:].ravel(), minlength=n)
 
-            per_group_x = {}
-            per_group_y = {}
-            for label, idx in group_idx.items():
-                x = examined[:, inv[idx]].mean(axis=1)
-                y = clicked[:, inv[idx]].mean(axis=1)
-                per_group_x[label] = x
-                per_group_y[label] = y
-                exposure_moments[label].add(x)
-                click_moments[label].add(y)
-            if group_pair is not None:
-                g0, g1 = group_pair
-                exposure_cross += float((per_group_x[g0] * per_group_x[g1]).sum())
-                click_cross += float((per_group_y[g0] * per_group_y[g1]).sum())
+        # exact group counts of every user: its 0/1 events times the term's
+        # one-hot, the span cut into products of at most _PRODUCT_SIZE
+        rows = flags.reshape(2 * count, n)  # exam row, then click row, per user
+        counts = np.empty((2 * count, n_groups), dtype=np.float32)
+        for k, (lo, hi) in zip(present.tolist(), spans):
+            one_hot = group_one_hot[position_group[k]]  # (position, group)
+            for start in range(2 * lo, 2 * hi, block_rows):
+                stop = min(start + block_rows, 2 * hi)
+                np.matmul(rows[start:stop], one_hot, out=counts[start:stop])
+
+        # x_g = count / |G| equals the old per-term ``.mean(axis=1)`` bit for bit
+        means = []
+        for g in range(n_groups):
+            x = np.true_divide(counts[0::2, g], sizes[g], dtype=float)
+            y = np.true_divide(counts[1::2, g], sizes[g], dtype=float)
+            at = slice(4 * g, 4 * g + 4)
+            totals[at] = _add_term_sums(totals[at], [x, x * x, y, y * y], spans)
+            means.append((x, y))
+        if pair is not None:
+            (xa, ya), (xb, yb) = means[pair[0]], means[pair[1]]
+            totals[-2:] = _add_term_sums(totals[-2:], [xa * xb, ya * yb], spans)
 
     item_exposure = exam_counts / n_users
     item_ctr = click_counts / n_users
     item_exposure_se = np.sqrt(item_exposure * (1.0 - item_exposure) / n_users)
 
+    exposure_sums = {label: tuple(totals[4 * g : 4 * g + 2]) for g, label in enumerate(labels)}
+    click_sums = {label: tuple(totals[4 * g + 2 : 4 * g + 4]) for g, label in enumerate(labels)}
     groups = []
     for label in labels:
-        exposure, exposure_se = exposure_moments[label].mean_and_se(n_users)
-        ctr, ctr_se = click_moments[label].mean_and_se(n_users)
+        exposure, exposure_se = _mean_and_se(*exposure_sums[label], n_users)
+        ctr, ctr_se = _mean_and_se(*click_sums[label], n_users)
         groups.append(GroupSimulation(label, exposure, exposure_se, ctr, ctr_se))
 
     dtr_value = dtr_se = dir_value = dir_se = None
@@ -243,10 +295,10 @@ def simulate(
         norm0 = float(u[group_idx[g0]].mean())
         norm1 = float(u[group_idx[g1]].mean())
         dtr_value, dtr_se = _ratio_with_se(
-            exposure_moments[g0], exposure_moments[g1], exposure_cross, n_users, norm0, norm1
+            exposure_sums[g0], exposure_sums[g1], totals[-2], n_users, norm0, norm1
         )
         dir_value, dir_se = _ratio_with_se(
-            click_moments[g0], click_moments[g1], click_cross, n_users, norm0, norm1
+            click_sums[g0], click_sums[g1], totals[-1], n_users, norm0, norm1
         )
 
     return SimulationReport(

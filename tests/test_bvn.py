@@ -370,6 +370,16 @@ class TestDenseLotteryPin:
         assert len(result.terms) == terms
         assert lottery_digest(result) == digest
 
+    def test_terms_hold_read_only_int_rankings(self):
+        result = decompose(dense_mixture(10, 0))
+        for term in result.terms:
+            assert type(term.theta) is float
+            assert term.ranking.dtype == np.dtype(int)
+            assert not term.ranking.flags.writeable
+            assert sorted(term.ranking.tolist()) == list(range(10))
+        with pytest.raises(ValueError, match="read-only"):
+            result.terms[0].ranking[0] = 1
+
     @pytest.mark.parametrize(
         "layout",
         [np.asfortranarray, lambda m: np.repeat(m, 2, axis=1)[:, ::2]],

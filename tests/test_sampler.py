@@ -40,6 +40,17 @@ class TestUserHash:
     def test_str_and_bytes_agree(self):
         assert hash_user_key("alice") == hash_user_key(b"alice")
 
+    def test_bytearray_agrees_with_bytes(self):
+        assert hash_user_key(bytearray(b"alice")) == HASH_ALICE
+
+    @pytest.mark.parametrize("key", [3, 0, 10**9, True, 1.5, None, [97], memoryview(b"alice")])
+    def test_other_key_types_rejected(self, key):
+        # bytes(3) would hash an int as three zero bytes
+        with pytest.raises(TypeError, match="user key must be str, bytes or bytearray"):
+            hash_user_key(key)
+        with pytest.raises(TypeError, match="user key"):
+            sample_for_user(two_term_decomposition(0.4), key)
+
     def test_fraction_in_unit_interval(self):
         for key in ("alice", "bob", "", "user-123456"):
             assert 0.0 <= hash_user_key(key) / 2.0**64 < 1.0
@@ -119,6 +130,14 @@ class TestSample:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="count"):
             sample_indices(two_term_decomposition(0.4), -1)
+
+    @pytest.mark.parametrize("count", [True, False, 2.0, 0.5, "3", None])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be a non-negative integer"):
+            sample_indices(two_term_decomposition(0.4), count, 1)
+
+    def test_numpy_integer_count_accepted(self):
+        assert sample_indices(two_term_decomposition(0.4), np.int64(3), 1).size == 3
 
 
 class TestSampleForUser:

@@ -7,8 +7,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairexposure.bvn import BvnDecomposition, BvnTerm, decompose
+from fairexposure.bvn import BvnDecomposition, BvnTerm, decompose, term_bound
 from fairexposure.constraints import demographic_parity, disparate_treatment
 from fairexposure.core import PositionBias
 from fairexposure.lp import solve_problem
@@ -235,3 +237,36 @@ class TestBitPin:
         dec, problem, n_users, seed, pair = pin_case(name)
         report = simulate(dec, problem, n_users=n_users, seed=seed, group_pair=pair)
         assert report_digest(report) == digest
+
+
+@st.composite
+def audited_lotteries(draw):
+    """A random lottery over 1-4 groups, N <= 30, up to 200 terms, and a simulation size."""
+    n = draw(st.integers(1, 30))
+    n_groups = draw(st.integers(1, min(4, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = [f"g{g}" for g in range(n_groups)]
+    groups += [f"g{g}" for g in rng.integers(0, n_groups, n - n_groups)]
+    groups = [groups[i] for i in rng.permutation(n)]
+    bias = None
+    if n >= 2 and draw(st.booleans()):
+        bias = PositionBias.dcg_at_k(n, k=draw(st.integers(1, n)))
+    problem = random_problem(rng, groups, bias)
+    dec = random_lottery(rng, n, draw(st.integers(1, min(200, term_bound(n)))))
+    return dec, problem, draw(st.integers(1, 3000)), draw(st.integers(0, 2**64 - 1))
+
+
+class TestCrossLayer:
+    """Group statistics, item statistics and click totals describe the same users."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(audited_lotteries())
+    def test_group_means_are_item_means(self, case):
+        dec, problem, n_users, seed = case
+        report = simulate(dec, problem, n_users=n_users, seed=seed)
+        for label in problem.group_labels:
+            idx = problem.group_indices(label)
+            gs = report.group(label)
+            assert gs.exposure == pytest.approx(report.item_exposure[idx].mean(), rel=1e-12, abs=0)
+            assert gs.ctr == pytest.approx(report.item_ctr[idx].mean(), rel=1e-12, abs=0)
+        assert report.total_clicks == round(report.item_ctr.sum() * n_users)
