@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TOLERANCE, MatrixLike, _certify, as_matrix, as_ranking
+from .core import TOLERANCE, MatrixLike, _certify, _is_number, as_matrix, as_ranking
 
 __all__ = ["BvnTerm", "BvnDecomposition", "decompose", "reconstruct", "term_bound"]
 
@@ -68,8 +68,8 @@ class BvnTerm:
     ranking: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        if not (_is_number(self.theta) and 0.0 < self.theta <= 1.0):
+            raise ValueError(f"theta must be a number in (0, 1], got {self.theta!r}")
         r = as_ranking(self.ranking)
         r.flags.writeable = False
         object.__setattr__(self, "ranking", r)
@@ -107,6 +107,7 @@ class BvnDecomposition:
                 raise ValueError("the same permutation appears in more than one term")
         object.__setattr__(self, "terms", tuple(self.terms))
         self._check_totals()
+        object.__setattr__(self, "residual", float(self.residual))
 
     @classmethod
     def _trusted(cls, terms: tuple[BvnTerm, ...], residual: float) -> "BvnDecomposition":
@@ -129,8 +130,10 @@ class BvnDecomposition:
                 f"{len(self.terms)} terms exceed the bound {term_bound(n)} for n={n}"
             )
         bound = _residual_bound(n)
-        if not 0.0 <= self.residual <= bound:
-            raise ValueError(f"residual must lie in [0, {bound:.3g}], got {self.residual}")
+        if not (_is_number(self.residual) and 0.0 <= self.residual <= bound):
+            raise ValueError(
+                f"residual must be a number in [0, {bound:.3g}], got {self.residual!r}"
+            )
         total = float(sum(t.theta for t in self.terms))
         if abs(total + self.residual - 1.0) > TOLERANCE:
             raise ValueError(

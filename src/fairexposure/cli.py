@@ -19,6 +19,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -27,12 +28,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bvn import BvnDecomposition, BvnTerm, decompose
-from .constraints import NOTIONS, FairnessConstraint, multi_group_constraints
+from .constraints import NOTIONS, multi_group_constraints
 from .core import (
     TOLERANCE,
+    DoublyStochasticMatrix,
     Item,
     PositionBias,
     RankingProblem,
+    _is_int,
     permutation_matrix,
     prp_ranking,
 )
@@ -65,8 +68,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_problem(args: argparse.Namespace) -> RankingProblem:
-    """The items CSV ``args.items`` ('-' = stdin) under the ``args.bias`` form."""
-    items = read_items_csv(sys.stdin if args.items == "-" else args.items)
+    """The items CSV ``args.input`` ('-' = stdin) under the ``args.bias`` form."""
+    items = read_items_csv(sys.stdin if args.input == "-" else args.input)
     return RankingProblem(items=items, position_bias=_parse_bias(args.bias, len(items)))
 
 
@@ -95,31 +98,32 @@ def _parse_bias(flag: str, n: int) -> PositionBias:
     raise ValueError(f"bias must look like 'log:BASE' or 'dcg:BASE:K', got {flag!r}")
 
 
-def _parse_constraint_flag(
-    problem: RankingProblem, flag: str
-) -> tuple[str, list[str], list[FairnessConstraint]]:
-    """Parse ``NOTION:G1,G2[,G3...]`` into chained constraints."""
+def _group_list(text: str) -> list[str]:
+    """The labels of ``G1,G2[,G3...]``, stripped of surrounding blanks."""
+    return [g.strip() for g in text.split(",")]
+
+
+def _group_pair(flag: str) -> tuple[str, str]:
+    """``G0,G1``: exactly two non-empty labels."""
+    pair = _group_list(flag)
+    if len(pair) != 2 or not all(pair):
+        raise argparse.ArgumentTypeError(f"group pair must look like 'G0,G1', got {flag!r}")
+    return pair[0], pair[1]
+
+
+def _constraint(flag: str) -> tuple[str, list[str]]:
+    """``NOTION:G1,G2[,G3...]`` as the notion and its chain of groups."""
     notion, sep, tail = flag.partition(":")
     if not sep or not tail:
-        raise ValueError(
+        raise argparse.ArgumentTypeError(
             f"constraint must look like 'NOTION:G1,G2', got {flag!r}; "
             f"known notions: {', '.join(sorted(NOTIONS))}"
         )
-    groups = [g.strip() for g in tail.split(",")]
-    return notion, groups, multi_group_constraints(problem, notion, groups)
-
-
-def _parse_group_pair(flag: Optional[str]) -> Optional[tuple[str, str]]:
-    if flag is None:
-        return None
-    parts = [g.strip() for g in flag.split(",")]
-    if len(parts) != 2 or not all(parts):
-        raise ValueError(f"group pair must look like 'G0,G1', got {flag!r}")
-    return parts[0], parts[1]
+    return notion, _group_list(tail)
 
 
 # ---------------------------------------------------------------------------
-# JSON schema helpers
+# JSON schema helpers: structure here, every value rule in the library types
 
 
 def _problem_to_json(problem: RankingProblem) -> dict:
@@ -135,48 +139,48 @@ def _problem_to_json(problem: RankingProblem) -> dict:
     }
 
 
-def _problem_from_json(payload: dict, what: str) -> RankingProblem:
+def _problem_from_json(payload: dict, what: str, n: int) -> RankingProblem:
+    """The problem ``payload`` embeds, which must list the ``n`` items it ranks."""
     try:
-        problem_payload = payload["problem"]
-        items = tuple(
-            Item(id=row["id"], group=row["group"], utility=row["utility"])
-            for row in problem_payload["items"]
-        )
-        bias = PositionBias(
-            problem_payload["bias"]["kind"],
-            np.asarray(problem_payload["bias"]["values"]),
-        )
+        rows, bias = payload["problem"]["items"], payload["problem"]["bias"]
+        # the count first, so that a short list is not blamed on the bias
+        if len(rows) != n:
+            raise ValueError(f"{what} ranks {n} items, its problem lists {len(rows)}")
+        items = tuple(Item(row["id"], row["group"], row["utility"]) for row in rows)
+        position_bias = PositionBias(bias["kind"], bias["values"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{what} is missing problem data ({exc})") from None
-    return RankingProblem(items=items, position_bias=bias)
+    return RankingProblem(items=items, position_bias=position_bias)
 
 
-def _solution_matrix(payload: dict, command: str) -> np.ndarray:
-    """The matrix of an optimal solution; ``command`` names what needed it."""
+def _read_solution(path: str, command: str) -> tuple[DoublyStochasticMatrix, dict]:
+    """The certified matrix of an optimal solution, and the solution itself."""
+    payload = _load_json(path, "solution")
     status = payload.get("status", "optimal")
     if status != "optimal":
         raise ValueError(f"solution status is {status!r}; nothing to {command}")
     try:
-        n = payload["n"]
-        flat = np.asarray(payload["matrix"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        n, flat = payload["n"], np.array(payload["matrix"], dtype=object)
+    except KeyError as exc:
         raise ValueError(f"solution is missing matrix data ({exc})") from None
-    if type(n) is not int or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"solution n must be a non-negative integer, got {n!r}")
     if flat.shape != (n * n,):
-        raise ValueError(f"solution matrix has {flat.size} entries, expected {n * n}")
-    return flat.reshape(n, n)
+        raise ValueError(f"solution matrix must be a flat list of {n * n} entries")
+    return DoublyStochasticMatrix(flat.reshape(n, n)), payload
 
 
-def _decomposition_from_json(payload: dict, what: str) -> BvnDecomposition:
+def _read_lottery(path: str) -> tuple[BvnDecomposition, Optional[RankingProblem]]:
+    """A decomposition and the problem it embeds, None when it embeds none."""
+    payload = _load_json(path, "decomposition")
     try:
-        terms = tuple(
-            BvnTerm(float(term["theta"]), term["ranking"]) for term in payload["terms"]
-        )
-        residual = float(payload.get("residual", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{what} is missing decomposition terms ({exc})") from None
-    return BvnDecomposition(terms=terms, residual=residual)
+        terms = tuple(BvnTerm(term["theta"], term["ranking"]) for term in payload["terms"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"decomposition is missing decomposition terms ({exc})") from None
+    decomposition = BvnDecomposition(terms, payload.get("residual", 0.0))
+    if payload.get("problem") is None:
+        return decomposition, None
+    return decomposition, _problem_from_json(payload, "decomposition", decomposition.n)
 
 
 def _print_json(payload: dict) -> None:
@@ -197,8 +201,10 @@ def _symmetric(ratio: Optional[float]) -> Optional[float]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _read_problem(args)
-    parsed = [_parse_constraint_flag(problem, flag) for flag in args.constraint]
-    constraints = [c for _, _, chain in parsed for c in chain]
+    constraints = [
+        c for notion, groups in args.constraint
+        for c in multi_group_constraints(problem, notion, groups)
+    ]
 
     lp = build_lp(problem, constraints)
     if args.dump_lp:
@@ -209,7 +215,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if report.status == "infeasible":
         diagnosis = [
             check_feasibility(problem, notion, g0, g1).to_dict()
-            for notion, groups, _ in parsed
+            for notion, groups in args.constraint
             for g0, g1 in zip(groups, groups[1:])
         ]
         _print_json(
@@ -224,11 +230,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     entries = report.matrix.entries
     if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", encoding="utf-8") as handle:
-            handle.write("item,rank,probability\n")
-            for i, item in enumerate(problem.items):
-                for j in range(problem.n):
-                    handle.write(f"{item.id},{j + 1},{float(entries[i, j])!r}\n")
+        with open(args.emit_plot_data, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(("item", "rank", "probability"))
+            for item, row in zip(problem.items, entries.tolist()):
+                writer.writerows((item.id, j, p) for j, p in enumerate(row, 1))
 
     _print_json(
         {
@@ -253,8 +259,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    payload = _load_json(args.solution, "solution")
-    matrix = _solution_matrix(payload, "decompose")
+    matrix, payload = _read_solution(args.input, "decompose")
     try:
         decomposition = decompose(matrix)
     except RuntimeError as exc:
@@ -274,26 +279,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _item_ids(payload: dict, n: int) -> list[str]:
-    """Ids of the embedded problem's items; positions when none is embedded."""
-    if payload.get("problem") is None:
-        return [str(i) for i in range(n)]
-    try:
-        ids = [row["id"] for row in payload["problem"]["items"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"decomposition is missing item ids ({exc})") from None
-    if len(ids) != n:
-        raise ValueError(f"decomposition ranks {n} items, its problem lists {len(ids)}")
-    if not all(isinstance(i, str) for i in ids):
-        raise ValueError("decomposition item ids must be strings")
-    return ids
-
-
 def _cmd_sample(args: argparse.Namespace) -> int:
-    payload = _load_json(args.decomposition, "decomposition")
-    decomposition = _decomposition_from_json(payload, "decomposition")
-    ids = _item_ids(payload, decomposition.n)
-
+    decomposition, problem = _read_lottery(args.input)
+    n = decomposition.n
+    ids = [str(i) for i in range(n)] if problem is None else [it.id for it in problem.items]
     if args.user is not None:
         if args.seed is not None:
             raise ValueError("--seed applies to --count sampling, not --user")
@@ -309,13 +298,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    payload = _load_json(args.solution, "solution")
-    matrix = _solution_matrix(payload, "evaluate")
-    problem = _problem_from_json(payload, "solution")
+    matrix, payload = _read_solution(args.input, "evaluate")
+    problem = _problem_from_json(payload, "solution", matrix.n)
     reference = permutation_matrix(prp_ranking(problem)) if args.against_optimal else None
-    report = evaluate(
-        matrix, problem, group_pair=_parse_group_pair(args.group_pair), reference=reference
-    )
+    report = evaluate(matrix, problem, group_pair=args.group_pair, reference=reference)
     result = report.to_dict()
     result["dtr_symmetric"] = _symmetric(report.dtr)
     result["dir_symmetric"] = _symmetric(report.dir)
@@ -325,24 +311,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
     problem = _read_problem(args)
-    pair = _parse_group_pair(args.groups)
-    if pair is None:
-        raise ValueError("--groups is required, e.g. --groups M,F")
-    verdict = check_feasibility(problem, args.notion, pair[0], pair[1])
+    verdict = check_feasibility(problem, args.notion, *args.groups)
     _print_json(verdict.to_dict())
     return EXIT_OK if verdict.feasible else EXIT_INFEASIBLE
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    payload = _load_json(args.decomposition, "decomposition")
-    problem = _problem_from_json(payload, "decomposition")
-    decomposition = _decomposition_from_json(payload, "decomposition")
+    decomposition, problem = _read_lottery(args.input)
+    if problem is None:
+        raise ValueError("decomposition embeds no problem; simulate needs its items and bias")
     report = simulate(
-        decomposition,
-        problem,
-        n_users=args.users,
-        seed=args.seed,
-        group_pair=_parse_group_pair(args.group_pair),
+        decomposition, problem, n_users=args.users, seed=args.seed, group_pair=args.group_pair
     )
     _print_json(report.to_dict())
     return EXIT_OK
@@ -359,70 +338,68 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    solve_p = sub.add_parser("solve", help="solve an items CSV into a ranking matrix")
-    solve_p.add_argument("items", nargs="?", default="-", help="items CSV ('-' = stdin)")
-    solve_p.add_argument(
-        "--bias",
-        default="log:e",
-        help="position-bias form: log:BASE or dcg:BASE:K (default log:e)",
-    )
-    solve_p.add_argument(
+    cmd = {}
+    for name, source, handler, summary in (
+        ("solve", "items CSV", _cmd_solve, "solve an items CSV into a ranking matrix"),
+        ("decompose", "solution JSON", _cmd_decompose, "decompose a solution into rankings"),
+        ("sample", "decomposition JSON", _cmd_sample, "sample rankings from a decomposition"),
+        ("evaluate", "solution JSON", _cmd_evaluate, "report utility and fairness metrics"),
+        ("feasibility", "items CSV", _cmd_feasibility, "check a constraint before solving"),
+        ("simulate", "decomposition JSON", _cmd_simulate, "Monte-Carlo click simulation"),
+    ):
+        cmd[name] = sub.add_parser(name, help=summary)
+        cmd[name].add_argument(
+            "input", nargs="?", default="-", metavar=source.split()[0],
+            help=f"{source} ('-' = stdin)",
+        )
+        cmd[name].set_defaults(handler=handler)
+    # the flags that more than one command takes
+    bias = {
+        "default": "log:e",
+        "help": "position-bias form: log:BASE or dcg:BASE:K (default log:e)",
+    }
+    pair = {"type": _group_pair, "metavar": "G0,G1"}
+
+    cmd["solve"].add_argument("--bias", **bias)
+    cmd["solve"].add_argument(
         "--constraint",
         action="append",
         default=[],
+        type=_constraint,
         metavar="NOTION:G1,G2[,G3...]",
         help=f"fairness constraint; repeatable; notions: {', '.join(sorted(NOTIONS))}",
     )
-    solve_p.add_argument("--dump-lp", metavar="FILE", help="write the LP in text form")
-    solve_p.add_argument(
+    cmd["solve"].add_argument("--dump-lp", metavar="FILE", help="write the LP in text form")
+    cmd["solve"].add_argument(
         "--emit-plot-data",
         metavar="FILE",
         help="write item,rank,probability triples for heatmap tools",
     )
-    solve_p.set_defaults(handler=_cmd_solve)
 
-    dec_p = sub.add_parser("decompose", help="decompose a solution into rankings")
-    dec_p.add_argument("solution", nargs="?", default="-", help="solution JSON ('-' = stdin)")
-    dec_p.set_defaults(handler=_cmd_decompose)
-
-    sample_p = sub.add_parser("sample", help="sample rankings from a decomposition")
-    sample_p.add_argument(
-        "decomposition", nargs="?", default="-", help="decomposition JSON ('-' = stdin)"
-    )
-    pick = sample_p.add_mutually_exclusive_group(required=True)
+    pick = cmd["sample"].add_mutually_exclusive_group(required=True)
     pick.add_argument("--user", help="deterministic per-user draw from a stable key")
     pick.add_argument("--count", type=int, help="number of seeded random draws")
-    sample_p.add_argument("--seed", type=int, help="seed for --count draws (default 0)")
-    sample_p.set_defaults(handler=_cmd_sample)
+    cmd["sample"].add_argument("--seed", type=int, help="seed for --count draws (default 0)")
 
-    eval_p = sub.add_parser("evaluate", help="report utility and fairness metrics")
-    eval_p.add_argument("solution", nargs="?", default="-", help="solution JSON ('-' = stdin)")
-    eval_p.add_argument("--group-pair", metavar="G0,G1", help="groups for DTR/DIR")
-    eval_p.add_argument(
+    cmd["evaluate"].add_argument("--group-pair", help="groups for DTR/DIR", **pair)
+    cmd["evaluate"].add_argument(
         "--against-optimal",
         action="store_true",
         help="also report the utility cost versus the unconstrained optimum, "
         "which is the PRP ranking (items sorted by utility)",
     )
-    eval_p.set_defaults(handler=_cmd_evaluate)
 
-    feas_p = sub.add_parser("feasibility", help="check a constraint before solving")
-    feas_p.add_argument("items", nargs="?", default="-", help="items CSV ('-' = stdin)")
-    feas_p.add_argument(
+    cmd["feasibility"].add_argument(
         "--notion", required=True, choices=sorted(NOTIONS), help="fairness notion"
     )
-    feas_p.add_argument("--groups", required=True, metavar="G0,G1", help="group pair")
-    feas_p.add_argument("--bias", default="log:e", help="position-bias form (default log:e)")
-    feas_p.set_defaults(handler=_cmd_feasibility)
+    cmd["feasibility"].add_argument("--groups", required=True, help="group pair", **pair)
+    cmd["feasibility"].add_argument("--bias", **bias)
 
-    sim_p = sub.add_parser("simulate", help="Monte-Carlo click simulation")
-    sim_p.add_argument(
-        "decomposition", nargs="?", default="-", help="decomposition JSON ('-' = stdin)"
+    cmd["simulate"].add_argument(
+        "--users", type=int, default=10000, help="number of simulated users"
     )
-    sim_p.add_argument("--users", type=int, default=10000, help="number of simulated users")
-    sim_p.add_argument("--seed", type=int, default=0, help="simulation seed")
-    sim_p.add_argument("--group-pair", metavar="G0,G1", help="groups for empirical DTR/DIR")
-    sim_p.set_defaults(handler=_cmd_simulate)
+    cmd["simulate"].add_argument("--seed", type=int, default=0, help="simulation seed")
+    cmd["simulate"].add_argument("--group-pair", help="groups for empirical DTR/DIR", **pair)
 
     return parser
 

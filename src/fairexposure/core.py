@@ -67,11 +67,9 @@ class Item:
     def __post_init__(self) -> None:
         if not (isinstance(self.id, str) and isinstance(self.group, str)):
             raise ValueError(f"item id and group must be strings, got {self.id!r}, {self.group!r}")
-        if not (isinstance(self.utility, (int, float)) and math.isfinite(self.utility)):
-            raise ValueError(f"utility of item {self.id!r} must be a finite number")
-        if not 0.0 <= self.utility <= 1.0:
+        if not (_is_number(self.utility) and 0.0 <= self.utility <= 1.0):
             raise ValueError(
-                f"utility of item {self.id!r} must lie in [0, 1], got {self.utility}"
+                f"utility of item {self.id!r} must be a number in [0, 1], got {self.utility!r}"
             )
 
 
@@ -92,7 +90,7 @@ class PositionBias:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = _as_reals(self.values, "position bias")
         if v.ndim != 1 or v.size < 1:
             raise ValueError("position bias must be a non-empty vector")
         if np.any(np.diff(v) > 0):
@@ -101,7 +99,6 @@ class PositionBias:
             raise ValueError("position bias entries must be non-negative")
         if self.kind == "log-discount" and np.any(v <= 0):
             raise ValueError("log-discount bias entries must be strictly positive")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -124,7 +121,7 @@ class PositionBias:
 
     @classmethod
     def explicit(cls, values: Sequence[float]) -> "PositionBias":
-        return cls("explicit", np.asarray(values, dtype=float))
+        return cls("explicit", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,9 +238,8 @@ class DoublyStochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
+        m = _as_reals(self.entries, "matrix")
         _certify(m)
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -269,6 +265,24 @@ def as_matrix(P: MatrixLike) -> np.ndarray:
 def _is_int(x) -> bool:
     """The one integer rule for counts and seeds: an int or numpy integer, never a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """The one number rule for real values: an int or float (numpy's too), never a bool or str."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _as_reals(values, what: str) -> np.ndarray:
+    """``values`` as a new float array whose every entry obeys the number rule."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float)
+    entries = np.array(values, dtype=object)  # each entry keeps its own type
+    if not all(map(_is_number, entries.reshape(-1))):
+        raise ValueError(f"{what} entries must be numbers")
+    try:
+        return entries.astype(float)
+    except OverflowError:
+        raise ValueError(f"{what} entries must be finite numbers") from None
 
 
 def as_ranking(ranking: Sequence[int]) -> np.ndarray:

@@ -70,6 +70,16 @@ class TestBvnTerm:
         with pytest.raises(ValueError, match="permutation"):
             BvnTerm(theta=0.5, ranking=np.array([0, 0]))
 
+    @pytest.mark.parametrize("theta", ["1", True, None, np.bool_(True), [1.0]])
+    def test_rejects_non_number_theta(self, theta):
+        with pytest.raises(ValueError, match="theta must be a number"):
+            BvnTerm(theta=theta, ranking=[0, 1])
+
+    @pytest.mark.parametrize("theta", [1, np.int64(1), np.float64(1.0)])
+    def test_accepts_int_and_numpy_theta(self, theta):
+        term = BvnTerm(theta=theta, ranking=[0, 1])
+        assert type(term.theta) is float and term.theta == 1.0
+
     @pytest.mark.parametrize("ranking", [[0.7, 1.2], [1.0, 0.0], [True, False]])
     def test_rejects_non_integer_ranking(self, ranking):
         with pytest.raises(ValueError, match="must be integers"):
@@ -103,11 +113,34 @@ class TestBvnDecomposition:
         with pytest.raises(ValueError, match="exceed the bound"):
             BvnDecomposition(terms=terms)
 
+    def test_rejects_no_terms(self):
+        with pytest.raises(ValueError, match="at least one term"):
+            BvnDecomposition(terms=())
+
+    def test_rejects_rankings_of_different_lengths(self):
+        terms = (BvnTerm(0.5, np.array([0, 1])), BvnTerm(0.5, np.array([0, 1, 2])))
+        with pytest.raises(ValueError, match="inconsistent ranking lengths"):
+            BvnDecomposition(terms=terms)
+
+    def test_int_residual_is_stored_as_float(self):
+        decomposition = BvnDecomposition(terms=(BvnTerm(1, np.array([0])),), residual=0)
+        assert type(decomposition.residual) is float
+
     def test_rejects_negative_residual(self):
         with pytest.raises(ValueError, match="residual"):
             BvnDecomposition(terms=(BvnTerm(1.0, np.array([0])),), residual=-1e-3)
 
-    @pytest.mark.parametrize("residual", [float("nan"), float("inf"), 0.4])
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            float("nan"),
+            float("inf"),
+            0.4,
+            pytest.param("0.4", id="string"),
+            pytest.param(True, id="boolean"),
+            pytest.param(None, id="none"),
+        ],
+    )
     def test_rejects_residual_decompose_cannot_leave(self, residual):
         terms = (BvnTerm(0.6, np.array([0, 1])),)
         with pytest.raises(ValueError, match="residual"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -53,6 +54,49 @@ NEWS_PIPELINE_SHA256 = {
     "evaluate": "1c861a8e862d2e02",
     "feasibility": "3880778de550971c",
     "simulate": "567a9c1a37e8adaa",
+}
+# Malformed problem data for every command that reads an embedded problem:
+# (change to the payload, expected error).
+PROBLEM_CHANGES = {
+    "boolean-utility": (
+        lambda p: p["problem"]["items"][0].update(utility=True),
+        "must be a number in [0, 1], got True",
+    ),
+    "string-utility": (
+        lambda p: p["problem"]["items"][0].update(utility="0.5"),
+        "must be a number in [0, 1], got '0.5'",
+    ),
+    "utility-above-one": (
+        lambda p: p["problem"]["items"][0].update(utility=2.0),
+        "must be a number in [0, 1], got 2.0",
+    ),
+    "string-bias-value": (
+        lambda p: p["problem"]["bias"]["values"].__setitem__(0, "1.4"),
+        "position bias entries must be numbers",
+    ),
+    "increasing-bias": (
+        lambda p: p["problem"]["bias"]["values"].reverse(),
+        "position bias must be non-increasing",
+    ),
+    "missing-group": (
+        lambda p: [row.pop("group") for row in p["problem"]["items"]],
+        "is missing problem data ('group')",
+    ),
+}
+# Malformed lottery terms: (change to the payload, expected error).
+TERM_CHANGES = {
+    "string-theta": (
+        lambda p: p["terms"][0].update(theta=str(p["terms"][0]["theta"])),
+        "theta must be a number",
+    ),
+    "boolean-theta": (lambda p: p["terms"][0].update(theta=True), "theta must be a number"),
+    "string-residual": (lambda p: p.update(residual="0"), "residual must be a number"),
+    "boolean-residual": (lambda p: p.update(residual=False), "residual must be a number"),
+}
+LOTTERY_COMMANDS = {
+    "sample-count": ["sample", "--count", "2"],
+    "sample-user": ["sample", "--user", "alice"],
+    "simulate": ["simulate", "--users", "10"],
 }
 ADVERSARIAL_CSV = (
     "id,group,utility\n"
@@ -237,6 +281,34 @@ class TestSolve:
         assert item == "m1" and rank == "1"
         float(probability)
 
+    def test_plot_data_quotes_ids(self, run, tmp_path):
+        plot_path = tmp_path / "plot.csv"
+        code, _, err = run(
+            ["solve", "--emit-plot-data", str(plot_path)],
+            stdin_text='id,group,utility\n"a,1",A,0.9\n"b ""x""",B,0.5\n',
+        )
+        assert code == 0, err
+        with open(plot_path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["item", "rank", "probability"]
+        assert [row[:2] for row in rows[1:]] == [
+            ["a,1", "1"], ["a,1", "2"], ['b "x"', "1"], ['b "x"', "2"]
+        ]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--bias", "dcg:e:x"], "bias cutoff must be an integer, got 'x'"),
+            (["--bias", "log:x"], "unsupported log base 'x'"),
+            (["--constraint", "demographic-parity"], "constraint must look like 'NOTION:G1,G2'"),
+        ],
+        ids=["dcg-cutoff", "log-base", "constraint-without-groups"],
+    )
+    def test_malformed_flag_rejected(self, run, jobseeker_file, flags, message):
+        code, out, err = run(["solve", jobseeker_file, *flags])
+        assert (code, out) == (1, "")
+        assert message in err and "Traceback" not in err
+
 
 class TestDecompose:
     def test_parity_solution_two_terms(self, run, jobseeker_file):
@@ -275,6 +347,24 @@ class TestDecompose:
         code, out, err = run([command], stdin_text=f'{{"n": {n}, "matrix": [1.0]}}')
         assert code == 1 and out == ""
         assert "solution n must be a non-negative integer" in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda m: m.pop(), "solution matrix must be a flat list of 36 entries"),
+            (lambda m: m.__setitem__(0, "1.0"), "matrix entries must be numbers"),
+            (lambda m: m.__setitem__(1, False), "matrix entries must be numbers"),
+            (lambda m: m.__setitem__(0, 0.9), "matrix is not doubly stochastic within 1e-06"),
+        ],
+        ids=["short", "string-entry", "boolean-entry", "not-doubly-stochastic"],
+    )
+    @pytest.mark.parametrize("command", ["decompose", "evaluate"])
+    def test_malformed_matrix_rejected(self, run, jobseeker_file, command, change, message):
+        solution = solve_json(run, jobseeker_file)
+        change(solution["matrix"])
+        code, out, err = run([command], stdin_text=json.dumps(solution))
+        assert (code, out) == (1, "")
+        assert message in err and "Traceback" not in err
 
     def test_empty_matrix_rejected(self, run):
         code, out, err = run(["decompose"], stdin_text=json.dumps({"n": 0, "matrix": []}))
@@ -647,10 +737,45 @@ class TestSimulate:
         assert "Traceback" not in err
         assert "seed must be an integer in [0, 2**64)" in err
 
+    def test_problem_required(self, run, parity_decomposition):
+        payload = json.loads(parity_decomposition)
+        payload["problem"] = None
+        code, out, err = run(["simulate"], stdin_text=json.dumps(payload))
+        assert (code, out) == (1, "")
+        assert "decomposition embeds no problem" in err
+
     def test_bad_input_rejected(self, run):
         code, _, err = run(["simulate"], stdin_text=json.dumps({"terms": []}))
         assert code == 1
         assert "decomposition" in err
+
+
+class TestEmbeddedValues:
+    """Every JSON value goes to the library type that owns its rule."""
+
+    @pytest.mark.parametrize("change, message", PROBLEM_CHANGES.values(), ids=PROBLEM_CHANGES)
+    @pytest.mark.parametrize("command", ["evaluate", "lottery"])
+    def test_malformed_problem_rejected(
+        self, run, jobseeker_file, parity_decomposition, command, change, message
+    ):
+        if command == "evaluate":
+            payload, commands = solve_json(run, jobseeker_file), [["evaluate"]]
+        else:
+            payload, commands = json.loads(parity_decomposition), LOTTERY_COMMANDS.values()
+        change(payload)
+        for args in commands:
+            code, out, err = run(args, stdin_text=json.dumps(payload))
+            assert (code, out) == (1, ""), args
+            assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("change, message", TERM_CHANGES.values(), ids=TERM_CHANGES)
+    @pytest.mark.parametrize("args", LOTTERY_COMMANDS.values(), ids=LOTTERY_COMMANDS)
+    def test_malformed_terms_rejected(self, run, parity_decomposition, args, change, message):
+        payload = json.loads(parity_decomposition)
+        change(payload)
+        code, out, err = run(args, stdin_text=json.dumps(payload))
+        assert (code, out) == (1, "")
+        assert message in err and "Traceback" not in err
 
 
 class TestPipelineComposition:
@@ -773,6 +898,19 @@ CONTRACT_INPUTS = {
     ),
     "item-count-mismatch": _lottery_payload([{"id": "a", "group": "A", "utility": 0.9}]),
     "infinite-n": '{"n": 1e400, "matrix": [1.0]}',
+    # an integer no float holds, in every number field
+    "huge-integer": (
+        '{"n": 1, "matrix": [%s], "terms": [{"theta": %s, "ranking": [0]}], "problem": '
+        '{"items": [{"id": "a", "group": "A", "utility": %s}], '
+        '"bias": {"kind": "explicit", "values": [%s]}}}'
+    )
+    % ((("1" + "0" * 400),) * 4),
+    "deeply-nested-bias": (
+        '{"n": 1, "matrix": [1], "terms": [{"theta": 1, "ranking": [0]}], "problem": '
+        '{"items": [{"id": "a", "group": "A", "utility": 0.5}], '
+        '"bias": {"kind": "explicit", "values": %s}}}'
+    )
+    % ("[" * 300 + "1" + "]" * 300),
 }
 
 

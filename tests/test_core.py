@@ -72,6 +72,8 @@ class TestPositionBiasVector:
             PositionBias.dcg_at_k(3, k=0)
         with pytest.raises(ValueError, match="cutoff k"):
             PositionBias.dcg_at_k(3, k=4)
+        with pytest.raises(ValueError, match="non-empty vector"):
+            PositionBias.explicit([])
 
 
 class TestPositionBias:
@@ -82,6 +84,21 @@ class TestPositionBias:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             PositionBias(kind="explicit", values=np.array([1.0, -0.1]))
+
+    def test_log_discount_rejects_zero_entry(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            PositionBias("log-discount", [1.0, 0.0])
+
+    @pytest.mark.parametrize("values", [[1.0, "0.5"], [1.0, True], ["1", "0.5"], [None]])
+    def test_rejects_non_number_values(self, values):
+        with pytest.raises(ValueError, match="position bias entries must be numbers"):
+            PositionBias.explicit(values)
+
+    @pytest.mark.parametrize(
+        "values", [[1, 0], [np.float64(1.0), np.int64(0)], np.array([1, 0], dtype=np.uint8)]
+    )
+    def test_accepts_int_and_numpy_numbers(self, values):
+        assert PositionBias.explicit(values).values.tolist() == [1.0, 0.0]
 
     def test_values_read_only(self):
         bias = PositionBias.log_discount(4)
@@ -97,6 +114,18 @@ class TestItem:
             Item(id="a", group="G", utility=-0.1)
         with pytest.raises(ValueError, match="utility"):
             Item(id="a", group="G", utility=float("nan"))
+
+    @pytest.mark.parametrize(
+        "utility",
+        [True, "0.5", None, np.bool_(True), pytest.param(10**400, id="huge-int")],
+    )
+    def test_rejects_non_number_utility(self, utility):
+        with pytest.raises(ValueError, match="must be a number in \\[0, 1\\]"):
+            Item(id="a", group="G", utility=utility)
+
+    @pytest.mark.parametrize("utility", [1, 0, np.float64(0.5), np.int64(1), np.float32(0.25)])
+    def test_accepts_int_and_numpy_utility(self, utility):
+        assert Item(id="a", group="G", utility=utility).utility == utility
 
     @pytest.mark.parametrize("item_id, group", [([1], "G"), ("a", ["G"]), (1, "G")])
     def test_rejects_non_string_id_or_group(self, item_id, group):
@@ -139,6 +168,10 @@ class TestRankingProblem:
         with pytest.raises(ValueError, match="duplicate"):
             RankingProblem(items=items, position_bias=PositionBias.log_discount(2))
 
+    def test_no_items_rejected(self):
+        with pytest.raises(ValueError, match="at least one item"):
+            RankingProblem(items=(), position_bias=PositionBias.log_discount(1))
+
     def test_length_mismatch_rejected(self):
         items = (Item(id="a", group="G", utility=0.5),)
         with pytest.raises(ValueError, match="length"):
@@ -170,6 +203,29 @@ class TestDoublyStochasticMatrix:
     def test_violation_rejects_empty_matrix(self):
         with pytest.raises(ValueError, match="non-empty square matrix"):
             stochastic_violation(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1, 0], [0, "1"]],
+            [[1.0, 0.0], [False, 1.0]],
+            [[1.0, 0.0], [0.0, None]],
+            np.eye(2, dtype=bool),
+            np.array([["1", "0"], ["0", "1"]]),
+            [[10**400, 0], [0, 1]],
+        ],
+        ids=["str", "bool", "none", "bool-array", "str-array", "huge-int"],
+    )
+    def test_rejects_non_number_entries(self, entries):
+        with pytest.raises(ValueError, match="matrix entries must be"):
+            DoublyStochasticMatrix(entries)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[1, 0], [0, 1]], [[np.int64(1), 0.0], [0.0, np.float64(1.0)]], np.eye(2, dtype=int)],
+    )
+    def test_accepts_int_and_numpy_entries(self, entries):
+        assert DoublyStochasticMatrix(entries).entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_entries_read_only(self):
         P = DoublyStochasticMatrix.uniform(3)

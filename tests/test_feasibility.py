@@ -106,6 +106,8 @@ class TestExposureRatioRange:
             dt_exposure_ratio_range(1, 1, np.array([0.2, 0.8]))
         with pytest.raises(ValueError, match="entirely zero"):
             dt_exposure_ratio_range(1, 1, np.zeros(3))
+        with pytest.raises(ValueError, match="non-empty vector"):
+            dt_exposure_ratio_range(1, 1, [])
 
 
 class TestCheckDtFeasibility:
