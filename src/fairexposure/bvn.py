@@ -158,6 +158,27 @@ class BvnDecomposition:
         cum.flags.writeable = False
         return cum
 
+    @cached_property
+    def _cumulative_tuple(self) -> tuple[float, ...]:
+        """``cumulative_weights`` as Python floats, for a scalar ``bisect``."""
+        return tuple(self.cumulative_weights.tolist())
+
+    @cached_property
+    def _term_guide(self) -> np.ndarray:
+        """Guide table (Chen & Asau, 1974) over ``cumulative_weights``.
+
+        With ``size = len(guide) - 1``, a power of two at least four times
+        the term count, ``guide[b]`` is the first term whose cumulative
+        weight reaches ``b / size``.  A fraction t in [0, 1] starts its
+        search at ``guide[floor(t * size)]`` (``t * size`` is exact, size
+        being a power of two); for a uniform t, the expected number of
+        boundaries left to step past is at most terms / size <= 1/4.
+        """
+        size = 1 << (4 * len(self.terms) - 1).bit_length()
+        guide = np.searchsorted(self.cumulative_weights, np.arange(size + 1) / size, side="left")
+        guide.flags.writeable = False
+        return guide
+
 
 def decompose(P: MatrixLike) -> BvnDecomposition:
     """Decompose ``P`` into a convex combination of permutation matrices.

@@ -260,6 +260,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     matrix, payload = _read_solution(args.input, "decompose")
+    if payload.get("problem") is not None:
+        # checked as the later commands will read it, then echoed as given
+        _problem_from_json(payload, "solution", matrix.n)
     try:
         decomposition = decompose(matrix)
     except RuntimeError as exc:

@@ -93,6 +93,9 @@ class PositionBias:
         v = _as_reals(self.values, "position bias")
         if v.ndim != 1 or v.size < 1:
             raise ValueError("position bias must be a non-empty vector")
+        # NaN fails every comparison below, and inf - inf is NaN
+        if not np.isfinite(v).all():
+            raise ValueError("position bias entries must be finite numbers")
         if np.any(np.diff(v) > 0):
             raise ValueError("position bias must be non-increasing in rank")
         if np.any(v < 0):

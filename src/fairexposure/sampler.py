@@ -4,18 +4,24 @@
 their weights.  ``sample_for_user`` replaces the random draw with a hash
 of the user's identity, so the same user always sees the same ranking
 while the population as a whole still realizes the mixture weights.
-Both, and the simulator, map a fraction in [0, 1) to a term by the same
-inverse-CDF lookup.
+Both, and the simulator, map a fraction in [0, 1] to a term by the same
+inverse-CDF lookup, exactly ``np.searchsorted(cumulative_weights, t,
+side="left")``.  A batch of fractions starts at a guide table (Chen &
+Asau, 1974) cached on the decomposition and steps past the few
+boundaries left; one fraction bisects the cumulative weights as Python
+floats.
 
 The user hash is pinned for cross-platform reproducibility: FNV-1a
 (64-bit, offset basis 0xcbf29ce484222325, prime 0x100000001b3) over the
 key bytes, finalized by the splitmix64 mixing function
 (z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27; z *= 0x94D049BB133111EB;
-z ^= z>>31), divided by 2^64 to land in [0, 1).
+z ^= z>>31), divided by 2^64 to land in [0, 1]: the top 2^10 hashes
+round to 1.0, the top of the lookup's range.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Union
 
 import numpy as np
@@ -56,12 +62,25 @@ def hash_user_key(key: Union[str, bytes, bytearray]) -> int:
 
 
 def _term_index(decomposition: BvnDecomposition, t: Union[float, np.ndarray]):
-    """Inverse-CDF lookup of the term owning each fraction in ``t``.
+    """Inverse-CDF lookup of the term owning each fraction in ``t``, in [0, 1].
 
     A fraction landing exactly on a cumulative boundary resolves to the
-    lower index.
+    lower index, and 1.0 to the last term: the result is exactly
+    ``np.searchsorted(decomposition.cumulative_weights, t, side="left")``.
+    A float bisects the cumulative weights as Python floats; an array
+    starts each fraction at its guide-table entry and steps forward while
+    the term's cumulative weight is still below the fraction.
     """
-    return np.searchsorted(decomposition.cumulative_weights, t, side="left")
+    if isinstance(t, float):
+        return bisect_left(decomposition._cumulative_tuple, t)
+    cum = decomposition.cumulative_weights
+    guide = decomposition._term_guide
+    index = guide[(t * (guide.size - 1)).astype(np.intp)]
+    behind = np.flatnonzero(cum[index] < t)
+    while behind.size:
+        index[behind] += 1
+        behind = behind[cum[index[behind]] < t[behind]]
+    return index
 
 
 def sample_indices(

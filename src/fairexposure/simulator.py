@@ -18,6 +18,14 @@ the same bits on every run and platform.  Within a chunk each user
 consumes one fixed block of draws: the term pick, then one examination
 coin per position, then one click coin per position.
 
+The draws are the stream's raw 64-bit words shifted right by 11: the
+53-bit integer k that ``Generator.random`` would turn into the float
+``k * 2**-53``.  A coin of probability p lands when that float is below
+p, which holds exactly when ``k < ceil(p * 2**53)`` (scaling by a power
+of two is exact), so the coins compare integers with integer thresholds
+and flip exactly as the float comparison would.  Only the term pick
+becomes the float ``k * 2**-53``.
+
 Each chunk is simulated in one pass over all of its users.  Every user's
 examination and click events are computed at once, the click threshold
 taken from the per-term table ``u[rankings]``.  A stable sort by term
@@ -27,13 +35,16 @@ each user's exact integer group counts, and the span's column sums give
 the per-position counts, scattered to items with the rankings.
 
 Summation order is part of the contract, since it decides the last bits
-of every report.  Counts are integers, so their order is free.  Each
-per-user statistic (a group's exposure x and clickthrough y, their
-squares and the pair's cross products) is summed per term, in term
-order, as one 1-D contiguous ``np.add.reduce`` over that term's users,
-and added to a Python float.  ``count / |G|`` rounds exactly like a mean
-over the group's positions.  So the reports are bit-identical to a
-per-term loop over users; a 2-D or ``reduceat`` sum would change them.
+of every report.  Counts are integers, so their order is free.  The
+per-user statistics (each group's exposure x and clickthrough y, their
+squares and the pair's cross products) are the rows of one
+(statistic, user) array.  Each term's span is summed with one
+``np.add.reduce`` along the rows' contiguous axis, which rounds every row
+as a 1-D reduce over that row's span would, and the sums are added to
+the running totals in term order.  ``count / |G|`` rounds exactly like a
+mean over the group's positions.  So the reports are bit-identical to a
+per-term loop over users; a reduce across rows, over several spans at
+once, or by ``reduceat`` would change them.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .bvn import BvnDecomposition
 from .core import RankingProblem, _is_int
@@ -163,18 +174,13 @@ def _ratio_with_se(
     return ratio, se
 
 
-def _add_term_sums(totals: list[float], rows: list[np.ndarray], spans: list) -> list[float]:
-    """Each row's running total plus that row's sum over every term's users.
+def _coin_threshold(p: np.ndarray) -> np.ndarray:
+    """The bound under which a 53-bit draw k lands a coin of probability p.
 
-    Each term's sum is one 1-D contiguous ``np.add.reduce`` over its span,
-    added in term order: the rounding a per-term ``x.sum()`` gives.
+    The float draw is ``k * 2**-53``, and ``k * 2**-53 < p`` holds exactly
+    when ``k < ceil(p * 2**53)``: scaling by a power of two is exact.
     """
-    out = []
-    for total, row in zip(totals, rows):
-        for lo, hi in spans:
-            total += float(np.add.reduce(row[lo:hi]))
-        out.append(total)
-    return out
+    return np.ceil(p * 2.0**53).astype(np.uint64)
 
 
 def simulate(
@@ -209,10 +215,12 @@ def simulate(
 
     rankings = np.stack([t.ranking for t in decomposition.terms])
     n_terms = len(rankings)
-    click_threshold = u[rankings]  # (term, position)
+    exam_threshold = _coin_threshold(v_prob)
+    click_threshold = _coin_threshold(u[rankings])  # (term, position)
     group_idx = {label: problem.group_indices(label) for label in labels}
     n_groups = len(labels)
-    sizes = [float(group_idx[label].size) for label in labels]
+    # |G| per row of group means: exposure rows, then clickthrough rows
+    sizes = np.tile([float(group_idx[label].size) for label in labels], 2)
     item_group = np.empty(n, dtype=np.intp)
     for g, label in enumerate(labels):
         item_group[group_idx[label]] = g
@@ -224,22 +232,25 @@ def simulate(
 
     exam_counts = np.zeros(n)
     click_counts = np.zeros(n)
-    # per group the sums of x, x^2, y, y^2; then the two cross products
-    totals = [0.0] * (4 * n_groups + 2)
+    # rows of the per-user statistics: the group means x (exposure) and
+    # y (clickthrough), then their squares, then the pair's two products
+    n_stats = 4 * n_groups + (0 if pair is None else 2)
+    totals = np.zeros(n_stats)
 
     draws_per_user = 2 * n + 1
     n_chunks = (n_users + _CHUNK - 1) // _CHUNK
     for chunk in range(n_chunks):
         count = min(_CHUNK, n_users - chunk * _CHUNK)
-        rng = Generator(Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-        block = rng.random((count, draws_per_user))
-        term_of_user = _term_index(decomposition, block[:, 0])
+        stream = Philox(key=np.array([seed, chunk], dtype=np.uint64))
+        words = stream.random_raw((count, draws_per_user))
+        np.right_shift(words, 11, out=words)  # the 53 bits Generator.random keeps
+        term_of_user = _term_index(decomposition, words[:, 0] * 2.0**-53)
         events = np.empty((count, 2, n), dtype=bool)  # (user, exam/click, position)
-        np.less(block[:, 1 : n + 1], v_prob, out=events[:, 0])
+        np.less(words[:, 1 : n + 1], exam_threshold, out=events[:, 0])
         thresholds = np.take(click_threshold, term_of_user, axis=0)
-        np.less(block[:, n + 1 :], thresholds, out=events[:, 1])
+        np.less(words[:, n + 1 :], thresholds, out=events[:, 1])
         events[:, 1] &= events[:, 0]
-        del block, thresholds
+        del words, thresholds
 
         # each term's users become one contiguous span, in ascending order;
         # a narrow key lets the stable sort run as a radix sort
@@ -265,24 +276,29 @@ def simulate(
                 stop = min(start + block_rows, 2 * hi)
                 np.matmul(rows[start:stop], one_hot, out=counts[start:stop])
 
-        # x_g = count / |G| equals the old per-term ``.mean(axis=1)`` bit for bit
-        means = []
-        for g in range(n_groups):
-            x = np.true_divide(counts[0::2, g], sizes[g], dtype=float)
-            y = np.true_divide(counts[1::2, g], sizes[g], dtype=float)
-            at = slice(4 * g, 4 * g + 4)
-            totals[at] = _add_term_sums(totals[at], [x, x * x, y, y * y], spans)
-            means.append((x, y))
+        # x_g = count / |G| rounds like a mean over the group's positions
+        stats = np.empty((n_stats, count))
+        means, squares = stats[: 2 * n_groups], stats[2 * n_groups : 4 * n_groups]
+        np.true_divide(counts.reshape(count, 2 * n_groups).T, sizes[:, None], out=means)
+        np.multiply(means, means, out=squares)
         if pair is not None:
-            (xa, ya), (xb, yb) = means[pair[0]], means[pair[1]]
-            totals[-2:] = _add_term_sums(totals[-2:], [xa * xb, ya * yb], spans)
+            np.multiply(means[pair[0] :: n_groups], means[pair[1] :: n_groups], out=stats[-2:])
+        # row by row, a reduce along the contiguous axis rounds like a 1-D one
+        for lo, hi in spans:
+            totals += np.add.reduce(stats[:, lo:hi], axis=1)
+        # free the chunk before the next one draws, so its arrays reuse
+        # these pages instead of faulting in new ones
+        del term_of_user, order, flags, rows, position_counts, counts, stats, means, squares
 
     item_exposure = exam_counts / n_users
     item_ctr = click_counts / n_users
     item_exposure_se = np.sqrt(item_exposure * (1.0 - item_exposure) / n_users)
 
-    exposure_sums = {label: tuple(totals[4 * g : 4 * g + 2]) for g, label in enumerate(labels)}
-    click_sums = {label: tuple(totals[4 * g + 2 : 4 * g + 4]) for g, label in enumerate(labels)}
+    sums = totals.tolist()
+    exposure_sums = {label: (sums[g], sums[2 * n_groups + g]) for g, label in enumerate(labels)}
+    click_sums = {
+        label: (sums[n_groups + g], sums[3 * n_groups + g]) for g, label in enumerate(labels)
+    }
     groups = []
     for label in labels:
         exposure, exposure_se = _mean_and_se(*exposure_sums[label], n_users)
@@ -295,10 +311,10 @@ def simulate(
         norm0 = float(u[group_idx[g0]].mean())
         norm1 = float(u[group_idx[g1]].mean())
         dtr_value, dtr_se = _ratio_with_se(
-            exposure_sums[g0], exposure_sums[g1], totals[-2], n_users, norm0, norm1
+            exposure_sums[g0], exposure_sums[g1], sums[-2], n_users, norm0, norm1
         )
         dir_value, dir_se = _ratio_with_se(
-            click_sums[g0], click_sums[g1], totals[-1], n_users, norm0, norm1
+            click_sums[g0], click_sums[g1], sums[-1], n_users, norm0, norm1
         )
 
     return SimulationReport(

@@ -74,6 +74,14 @@ PROBLEM_CHANGES = {
         lambda p: p["problem"]["bias"]["values"].__setitem__(0, "1.4"),
         "position bias entries must be numbers",
     ),
+    "nan-bias-value": (
+        lambda p: p["problem"]["bias"]["values"].__setitem__(2, float("nan")),
+        "position bias entries must be finite numbers",
+    ),
+    "infinite-bias-value": (
+        lambda p: p["problem"]["bias"]["values"].__setitem__(0, float("inf")),
+        "position bias entries must be finite numbers",
+    ),
     "increasing-bias": (
         lambda p: p["problem"]["bias"]["values"].reverse(),
         "position bias must be non-increasing",
@@ -754,12 +762,12 @@ class TestEmbeddedValues:
     """Every JSON value goes to the library type that owns its rule."""
 
     @pytest.mark.parametrize("change, message", PROBLEM_CHANGES.values(), ids=PROBLEM_CHANGES)
-    @pytest.mark.parametrize("command", ["evaluate", "lottery"])
+    @pytest.mark.parametrize("command", ["evaluate", "decompose", "lottery"])
     def test_malformed_problem_rejected(
         self, run, jobseeker_file, parity_decomposition, command, change, message
     ):
-        if command == "evaluate":
-            payload, commands = solve_json(run, jobseeker_file), [["evaluate"]]
+        if command != "lottery":
+            payload, commands = solve_json(run, jobseeker_file), [[command]]
         else:
             payload, commands = json.loads(parity_decomposition), LOTTERY_COMMANDS.values()
         change(payload)

@@ -95,6 +95,15 @@ class TestPositionBias:
             PositionBias.explicit(values)
 
     @pytest.mark.parametrize(
+        "values",
+        [[1.0, float("nan")], [float("inf"), 1.0], [float("nan")], np.array([2.0, np.inf, 0.0])],
+    )
+    def test_rejects_non_finite_values(self, values):
+        # NaN and inf pass the order and sign checks, and no coin has their probability
+        with pytest.raises(ValueError, match="position bias entries must be finite numbers"):
+            PositionBias.explicit(values)
+
+    @pytest.mark.parametrize(
         "values", [[1, 0], [np.float64(1.0), np.int64(0)], np.array([1, 0], dtype=np.uint8)]
     )
     def test_accepts_int_and_numpy_numbers(self, values):

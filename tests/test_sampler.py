@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fairexposure.bvn import BvnDecomposition, BvnTerm, decompose
@@ -71,6 +73,60 @@ class TestTermIndexForFraction:
         assert dec.cumulative_weights is cum
         np.testing.assert_array_equal(cum, [0.3, 1.0])
         assert not cum.flags.writeable
+
+
+@st.composite
+def lookup_cases(draw):
+    """A lottery of 1-2000 terms, some of them too light to move the running sum."""
+    count = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.dirichlet(np.full(count, draw(st.sampled_from([0.05, 1.0, 50.0]))))
+    tiny = rng.random(count) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    weights[tiny] = draw(st.sampled_from([1e-18, 1e-200, 5e-324]))
+    if tiny.all():
+        weights[0] = 1.0
+    weights /= weights.sum()
+    n = next(k for k in range(2, 50) if (k - 1) ** 2 + 1 >= count)
+    seen: set = set()
+    terms = []
+    for theta in weights.tolist():
+        ranking = rng.permutation(n)
+        while tuple(ranking) in seen:
+            ranking = rng.permutation(n)
+        seen.add(tuple(ranking))
+        terms.append(BvnTerm(max(theta, 5e-324), ranking))
+    return BvnDecomposition(tuple(terms)), rng.random(draw(st.integers(0, 500)))
+
+
+class TestTermLookupIsSearchsorted:
+    """The guide-table and bisect lookups are ``searchsorted(side="left")`` exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lookup_cases())
+    def test_matches_searchsorted(self, case):
+        dec, uniform = case
+        cum = dec.cumulative_weights
+        # every boundary, both its neighbours, both ends and random fractions
+        neighbours = [np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)]
+        t = np.concatenate([cum, *neighbours, [0.0, 1.0], uniform])
+        t = t[t <= 1.0]
+        expected = np.searchsorted(cum, t, side="left")
+        got = _term_index(dec, t)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        scalars = [_term_index(dec, x) for x in t.tolist()]
+        np.testing.assert_array_equal(scalars, expected)
+        assert _term_index(dec, 1.0) == np.searchsorted(cum, 1.0, side="left")
+        empty = np.empty(0)
+        assert _term_index(dec, empty).dtype == np.searchsorted(cum, empty).dtype
+        assert sample_indices(dec, 0, 1).dtype == expected.dtype
+
+    def test_fraction_one_is_last_term(self):
+        # hash / 2**64 rounds up to 1.0 for hashes within 2**10 of 2**64
+        assert (2**64 - 1) / 2.0**64 == 1.0
+        dec = two_term_decomposition(0.3)
+        assert _term_index(dec, 1.0) == 1
+        assert _term_index(dec, np.array([1.0])).tolist() == [1]
 
 
 class TestSample:

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from fairexposure.bvn import BvnDecomposition, BvnTerm, decompose, term_bound
 from fairexposure.constraints import demographic_parity, disparate_treatment
 from fairexposure.core import PositionBias
 from fairexposure.lp import solve_problem
 from fairexposure.metrics import evaluate
-from fairexposure.simulator import simulate
+from fairexposure.simulator import _coin_threshold, simulate
 
 from .test_core import make_problem
 
@@ -270,3 +271,49 @@ class TestCrossLayer:
             assert gs.exposure == pytest.approx(report.item_exposure[idx].mean(), rel=1e-12, abs=0)
             assert gs.ctr == pytest.approx(report.item_ctr[idx].mean(), rel=1e-12, abs=0)
         assert report.total_clicks == round(report.item_ctr.sum() * n_users)
+
+
+class TestIntegerCoins:
+    """The numpy facts that let ``simulate`` flip its coins on raw Philox words."""
+
+    @pytest.mark.parametrize(
+        "key, shape",
+        [
+            ((0, 0), (3, 7)),
+            ((17, 1), (1000, 51)),
+            ((2**64 - 1, 2**63), (16384, 3)),
+            ((5, 9), (0, 4)),
+        ],
+    )
+    def test_shifted_word_is_generator_random(self, key, shape):
+        words = Philox(key=np.array(key, dtype=np.uint64)).random_raw(shape)
+        floats = Generator(Philox(key=np.array(key, dtype=np.uint64))).random(shape)
+        assert words.dtype == np.uint64
+        shifted = (words >> 11) * 2.0**-53
+        np.testing.assert_array_equal(shifted.view(np.uint64), floats.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "p",
+        # zero, the smallest subnormal and normal, multiples of 2**-53 and
+        # a half of one, ordinary values, and the top of the range
+        [0.0, 5e-324, 2.2250738585072014e-308, 2.0**-54, 2.0**-53, 3 * 2.0**-53]
+        + [0.1, 0.5, 1 - 2.0**-53, 1.0],
+    )
+    def test_threshold_flips_the_float_coin(self, p):
+        self.check(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(0.0, 1.0), st.integers(0, 2**53).map(lambda m: m * 2.0**-53)))
+    def test_threshold_flips_the_float_coin_anywhere(self, p):
+        self.check(p)
+
+    @staticmethod
+    def check(p: float) -> None:
+        """``k * 2**-53 < q`` iff ``k < threshold(q)``, for q = p and its neighbours."""
+        for q in {p, float(np.nextafter(p, 0.0)), min(float(np.nextafter(p, 2.0)), 1.0)}:
+            threshold = _coin_threshold(np.array([q]))
+            assert threshold.dtype == np.uint64
+            bound = int(threshold[0])
+            ks = {0, 2**53 - 1} | {k for k in range(bound - 2, bound + 2) if 0 <= k < 2**53}
+            for k in sorted(ks):
+                assert (k * 2.0**-53 < q) == (k < bound), (q, k)
