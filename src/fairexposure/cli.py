@@ -214,9 +214,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve(lp)
     if report.status == "infeasible":
         diagnosis = [
-            check_feasibility(problem, notion, g0, g1).to_dict()
+            check_feasibility(problem, notion, *groups).to_dict()
             for notion, groups in args.constraint
-            for g0, g1 in zip(groups, groups[1:])
         ]
         _print_json(
             {
@@ -395,7 +394,10 @@ def _build_parser() -> _Parser:
     cmd["feasibility"].add_argument(
         "--notion", required=True, choices=sorted(NOTIONS), help="fairness notion"
     )
-    cmd["feasibility"].add_argument("--groups", required=True, help="group pair", **pair)
+    cmd["feasibility"].add_argument(
+        "--groups", required=True, type=_group_list, metavar="G1,G2[,G3...]",
+        help="chain of groups, as in solve --constraint",
+    )
     cmd["feasibility"].add_argument("--bias", **bias)
 
     cmd["simulate"].add_argument(

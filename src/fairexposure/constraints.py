@@ -75,25 +75,6 @@ def _membership(problem: RankingProblem, group_a: str, group_b: str):
     return problem.group_indices(group_a), problem.group_indices(group_b)
 
 
-def _utility_groups(problem: RankingProblem, group_a: str, group_b: str):
-    """Indices and mean utilities of two groups, both means positive.
-
-    Exposure proportional to utility is undefined for a zero-mean group.
-    """
-    indices = _membership(problem, group_a, group_b)
-    utilities = problem.utilities
-    means = []
-    for group, idx in zip((group_a, group_b), indices):
-        mean = float(utilities[idx].mean())
-        if mean <= 0.0:
-            raise ValueError(
-                "exposure proportional to utility is undefined: "
-                f"group {group!r} has zero mean utility"
-            )
-        means.append(mean)
-    return indices, means
-
-
 def demographic_parity(
     problem: RankingProblem, group_a: str, group_b: str
 ) -> FairnessConstraint:
@@ -117,10 +98,17 @@ def disparate_treatment(
     Rejects groups with zero mean utility, for which the proportionality
     target is undefined.
     """
-    (idx_a, idx_b), (mean_a, mean_b) = _utility_groups(problem, group_a, group_b)
+    indices = _membership(problem, group_a, group_b)
+    utilities = problem.utilities
     f = np.zeros(problem.n)
-    f[idx_a] = 1.0 / (idx_a.size * mean_a)
-    f[idx_b] = -1.0 / (idx_b.size * mean_b)
+    for group, idx, sign in zip((group_a, group_b), indices, (1.0, -1.0)):
+        mean = float(utilities[idx].mean())
+        if mean <= 0.0:
+            raise ValueError(
+                "exposure proportional to utility is undefined: "
+                f"group {group!r} has zero mean utility"
+            )
+        f[idx] = sign / (idx.size * mean)
     return FairnessConstraint(f, problem.bias, label=f"disparate-treatment:{group_a},{group_b}")
 
 
@@ -150,14 +138,19 @@ def multi_group_constraints(
     """Chain constraints (G1,G2), (G2,G3), ... equalizing K groups.
 
     K-1 pairwise constraints imply all pairwise equalities by transitivity,
-    with fewer redundant rows than the all-pairs formulation.
+    with fewer redundant rows than the all-pairs formulation.  Each
+    adjacent pair is checked by its builder, with the builder's messages,
+    before the chain is checked for a group that recurs further on.
     """
     if notion not in NOTIONS:
         raise ValueError(f"unknown fairness notion {notion!r}; expected one of {sorted(NOTIONS)}")
     labels = list(groups)
     if len(labels) < 2:
-        raise ValueError("need at least two groups to constrain")
+        raise ValueError(
+            f"need at least two groups to constrain, a group pair or a chain; got {labels}"
+        )
+    build = NOTIONS[notion]
+    chain = [build(problem, labels[k], labels[k + 1]) for k in range(len(labels) - 1)]
     if len(set(labels)) != len(labels):
         raise ValueError(f"groups overlap: {labels}")
-    build = NOTIONS[notion]
-    return [build(problem, labels[k], labels[k + 1]) for k in range(len(labels) - 1)]
+    return chain

@@ -1,33 +1,49 @@
 """Feasibility analysis for fairness constraints before solving.
 
-Exposure-proportionality (disparate treatment) has a closed form: the
-group-exposure ratio is extremized by block placements, putting one group
-wholly on top and the other wholly at the bottom, so the constraint is
-satisfiable exactly when the mean-utility ratio falls inside that
-attainable range.  Demographic parity and clickthrough-proportionality
-(disparate impact) are always satisfiable: the uniform matrix gives every
-item exposure ``mean(v)``, so it satisfies any row whose coefficients sum
-to zero, ``f·(J/n)·v = mean(v)·Σf = 0``, and both rows do (``Σf = 1 − 1``).
+Exposure-proportionality (disparate treatment) has an exact closed form
+for any chain of K >= 2 groups.  Every built-in notion reads exposures
+``e = P v``, and as P ranges over the doubly stochastic matrices, e ranges
+over the permutahedron of v (Kletti et al., "Introducing the Expohedron",
+WSDM 2022).  A set S of groups holding ``m_S`` items in all therefore
+receives a total exposure between ``bottom(m_S)``, the sum of the m_S
+smallest entries of v, and ``top(m_S)``, the sum of the m_S largest; these
+bounds describe a generalised polymatroid, so every total vector inside
+them is attained.  Treatment asks each group's total to be ``c·U_k`` for
+one c, where ``U_k`` is the group's utility sum, so the chain is feasible
+exactly when some c meets every set's bounds::
+
+    max_S bottom(m_S) / U_S  <=  min_S top(m_S) / U_S
+
+over the 2^K − 1 nonempty sets S.  For two groups the singleton bounds,
+divided by the group sizes, give the attainable exposure-ratio range.
+
+Demographic parity and clickthrough-proportionality (disparate impact) are
+always satisfiable: the uniform matrix gives every item exposure
+``mean(v)``, so it satisfies any row whose coefficients sum to zero,
+``f·(J/n)·v = mean(v)·Σf = 0``, and both rows do (``Σf = 1 − 1``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .constraints import NOTIONS, _utility_groups
+from .constraints import multi_group_constraints
 from .core import RankingProblem
 
-__all__ = [
-    "FeasibilityVerdict",
-    "dt_exposure_ratio_range",
-    "check_feasibility",
-]
+__all__ = ["FeasibilityVerdict", "check_feasibility"]
+
+# Relative slack on the exposure-per-unit-utility bounds.  HiGHS itself turns
+# infeasible past the boundary at a gap between 2.8e-8 and 4.2e-8 for groups
+# of 3 + 3 items (N = 6), but between 9e-10 and 2.7e-9 for 10 + 10 (N = 20),
+# both under log bias, so no fixed slack matches it.
+_SLACK = 1e-9
 
 _REMEDY = (
-    "adding items that belong to neither group lengthens the ranking "
+    "adding items that belong to {} lengthens the ranking "
     "and widens the attainable exposure-ratio range"
 )
 
@@ -43,16 +59,17 @@ _WITNESS_NOTES = {
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """Outcome of a feasibility check.
+    """Outcome of a feasibility check on one chain of groups.
 
     ``method`` records how the verdict was reached: "closed-form" for the
-    exposure-ratio range, "witness" for constraints the uniform matrix
-    always satisfies.
+    exposure bounds, "witness" for constraints the uniform matrix always
+    satisfies.  A two-group treatment verdict also carries the required
+    and the attainable exposure ratio.
     """
 
     feasible: bool
     notion: str
-    groups: tuple[str, str]
+    groups: tuple[str, ...]
     method: str
     required_ratio: Optional[float] = None
     attainable_range: Optional[tuple[float, float]] = None
@@ -77,80 +94,62 @@ class FeasibilityVerdict:
         return out
 
 
-def dt_exposure_ratio_range(
-    size_g0: int, size_g1: int, v: np.ndarray
-) -> tuple[float, float]:
-    """Attainable range of the average-exposure ratio of two groups.
-
-    The maximum puts the first group in the top ``size_g0`` positions and
-    the second in the bottom ``size_g1``; the minimum is the mirror
-    placement.  Ratios compare per-item averages, so unequal group sizes
-    are handled by dividing each block sum by its group size.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("position bias must be a non-empty vector")
-    if np.any(np.diff(v) > 0):
-        raise ValueError("position bias must be non-increasing in rank")
-    if size_g0 < 1 or size_g1 < 1:
-        raise ValueError(f"group sizes must be at least 1, got {size_g0} and {size_g1}")
-    n = v.size
-    if size_g0 + size_g1 > n:
-        raise ValueError(
-            f"groups of {size_g0} and {size_g1} items do not fit in {n} positions"
-        )
-    top_g0 = float(v[:size_g0].mean())
-    bottom_g0 = float(v[n - size_g0 :].mean())
-    top_g1 = float(v[:size_g1].mean())
-    bottom_g1 = float(v[n - size_g1 :].mean())
-    if top_g1 == 0.0:
+def _check_dt_feasibility(problem: RankingProblem, groups: tuple[str, ...]) -> FeasibilityVerdict:
+    """The exposure-bound rule of the module docstring for one chain."""
+    v, n, utilities = problem.bias, problem.n, problem.utilities
+    if v[0] == 0.0:
         raise ValueError("position bias is entirely zero; exposure ratios are undefined")
-    max_ratio = np.inf if bottom_g1 == 0.0 else top_g0 / bottom_g1
-    min_ratio = bottom_g0 / top_g1
-    return min_ratio, max_ratio
-
-
-def _check_dt_feasibility(
-    problem: RankingProblem, g0: str, g1: str
-) -> FeasibilityVerdict:
-    """Closed-form feasibility of exposure proportional to mean utility."""
-    (idx0, idx1), (mean0, mean1) = _utility_groups(problem, g0, g1)
-    required = mean0 / mean1
-    lo, hi = dt_exposure_ratio_range(int(idx0.size), int(idx1.size), problem.bias)
-    feasible = lo - 1e-9 <= required <= hi + 1e-9
-    note = "" if feasible else (
-        f"required exposure ratio {required:.6g} lies outside "
-        f"[{lo:.6g}, {hi:.6g}]; {_REMEDY}"
-    )
+    indices = [problem.group_indices(g) for g in groups]
+    sizes, sums = [idx.size for idx in indices], [float(utilities[idx].sum()) for idx in indices]
+    bounds = []  # (bottom(m_S), top(m_S), U_S, S) for every nonempty S, singletons first
+    for k in range(1, len(groups) + 1):
+        for s in combinations(range(len(groups)), k):
+            m, total = sum(sizes[i] for i in s), sum(sums[i] for i in s)
+            bounds.append((float(v[n - m :].sum()), float(v[:m].sum()), total, s))
+    lo, lo_set = max((bottom / total, s) for bottom, _, total, s in bounds)
+    hi, hi_set = min((top / total, s) for _, top, total, s in bounds)
+    feasible = lo <= hi * (1.0 + _SLACK)
+    required = ratios = None
+    if len(groups) == 2:
+        # ratios of per-item block means: one group on top, the other at the bottom
+        (m0, m1), ((bottom0, top0, *_), (bottom1, top1, *_)) = sizes, bounds[:2]
+        required = (sums[0] / m0) / (sums[1] / m1)
+        ratios = (
+            (bottom0 / m0) / (top1 / m1),
+            np.inf if bottom1 == 0.0 else (top0 / m0) / (bottom1 / m1),
+        )
+        note = (
+            f"required exposure ratio {required:.6g} lies outside "
+            f"[{ratios[0]:.6g}, {ratios[1]:.6g}]; {_REMEDY.format('neither group')}"
+        )
+    else:
+        lo_groups, hi_groups = (",".join(groups[i] for i in s) for s in (lo_set, hi_set))
+        note = (
+            f"exposure per unit utility cannot be both at least {lo:.6g}, the least "
+            f"{lo_groups} can get (placed at the bottom), and at most {hi:.6g}, the most "
+            f"{hi_groups} can get (placed at the top); {_REMEDY.format('none of the groups')}"
+        )
     return FeasibilityVerdict(
-        feasible=feasible,
-        notion="disparate-treatment",
-        groups=(g0, g1),
-        method="closed-form",
-        required_ratio=required,
-        attainable_range=(lo, hi),
-        note=note,
+        feasible, "disparate-treatment", groups, "closed-form",
+        required_ratio=required, attainable_range=ratios, note="" if feasible else note,
     )
 
 
-def check_feasibility(
-    problem: RankingProblem, notion: str, g0: str, g1: str
-) -> FeasibilityVerdict:
-    """Decide whether ``notion`` between groups ``g0`` and ``g1`` is attainable.
+def check_feasibility(problem: RankingProblem, notion: str, *groups: str) -> FeasibilityVerdict:
+    """Decide whether ``notion`` over the chain ``groups`` is attainable.
 
-    The groups are checked by the rules the notion's constraint builder
-    applies (distinct, present, and for the utility-proportional notions,
-    of nonzero mean utility), with the same error messages.
+    The groups are checked by :func:`multi_group_constraints`, with the
+    messages its builders give: two or more distinct groups that have
+    items, and for the utility-proportional notions, of nonzero mean
+    utility.
     """
-    if notion not in NOTIONS:
-        raise ValueError(f"unknown fairness notion {notion!r}")
+    multi_group_constraints(problem, notion, groups)
     if notion == "disparate-treatment":
-        return _check_dt_feasibility(problem, g0, g1)
-    NOTIONS[notion](problem, g0, g1)
+        return _check_dt_feasibility(problem, groups)
     return FeasibilityVerdict(
         feasible=True,
         notion=notion,
-        groups=(g0, g1),
+        groups=groups,
         method="witness",
         note=_WITNESS_NOTES[notion],
     )

@@ -46,10 +46,8 @@ class MetricsReport:
 
     ``dtr``/``dir`` compare ``group_pair``.  They are None when no pair
     was requested, and when the ratio is undefined: either group has zero
-    mean utility, or zero exposure (``dtr``) or clickthrough (``dir``).
-    ``cof`` is present only when a reference optimum was supplied, and
-    may not be meaningfully negative (the reference must dominate every
-    feasible matrix).
+    mean utility, or exposure (``dtr``) or clickthrough (``dir``) <= 0.
+    ``cof`` is present only when a reference optimum was supplied.
     """
 
     dcg: float
@@ -64,11 +62,6 @@ class MetricsReport:
             value = getattr(self, name)
             if value is not None and value <= 0.0:
                 raise ValueError(f"{name} must be positive when defined, got {value}")
-        if self.cof is not None and self.cof < -TOLERANCE:
-            raise ValueError(
-                f"cost of fairness {self.cof} is negative beyond tolerance; "
-                "the reference matrix is not the unconstrained optimum"
-            )
 
     def group(self, label: str) -> GroupMetrics:
         for gm in self.groups:
@@ -103,10 +96,10 @@ def _utility_ratio(
 ) -> Optional[float]:
     """``(value0/mean0) / (value1/mean1)``, or None where it is undefined.
 
-    Undefined means either mean utility is <= 0 or either value is 0; the
-    analytic metrics and the simulator's estimates share this rule.
+    Undefined means any of the four is <= 0 (a certified matrix may give a
+    value just below 0); the analytic metrics and the simulator share this rule.
     """
-    if mean0 <= 0.0 or mean1 <= 0.0 or value0 == 0.0 or value1 == 0.0:
+    if mean0 <= 0.0 or mean1 <= 0.0 or value0 <= 0.0 or value1 <= 0.0:
         return None
     return (value0 / mean0) / (value1 / mean1)
 
@@ -122,6 +115,11 @@ def evaluate(
     ``group_pair`` is settled by :meth:`RankingProblem.group_pair`; with
     no pair, dtr/dir are omitted.  ``reference`` enables the
     cost-of-fairness entry and must be the unconstrained optimum.
+
+    A certified P may beat the optimum: ``P + δJ`` (δ = TOLERANCE) is
+    non-negative with line sums at most ``1 + (n+1)δ``, so scaled down it is
+    substochastic and ``u·P·v <= (1 + (n+1)δ)·OPT``.  A cost of fairness
+    below ``-(n+1)δ·OPT`` therefore means the reference is not the optimum.
     """
     m = as_matrix(P)
     dcg = utility(m, problem)
@@ -146,7 +144,13 @@ def evaluate(
         dir_value = _utility_ratio(g0.ctr, g0.mean_utility, g1.ctr, g1.mean_utility)
     cof_value = None
     if reference is not None:
-        cof_value = utility(reference, problem) - dcg
+        best = utility(reference, problem)
+        cof_value = best - dcg
+        if cof_value < -(problem.n + 1) * TOLERANCE * best:
+            raise ValueError(
+                f"cost of fairness {cof_value} is negative beyond tolerance; "
+                "the reference matrix is not the unconstrained optimum"
+            )
     return MetricsReport(
         dcg=dcg,
         groups=tuple(groups.values()),

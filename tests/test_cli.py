@@ -110,6 +110,11 @@ ADVERSARIAL_CSV = (
     "id,group,utility\n"
     "a1,A,0.9\na2,A,0.9\na3,A,0.9\nb1,B,0.45\nb2,B,0.45\nb3,B,0.45\n"
 )
+# a treatment chain A,B,C that is infeasible although A,B and B,C are not
+CHAIN_CSV = (
+    "id,group,utility\n"
+    "0,C,0.523\n1,B,0.867\n2,B,0.128\n3,B,0.69\n4,C,0.342\n5,C,0.725\n6,A,0.307\n"
+)
 
 
 @pytest.fixture
@@ -219,6 +224,18 @@ class TestSolve:
         assert diagnosis["feasible"] is False
         assert diagnosis["attainable_range"][0] > 0
         assert "lengthen" in diagnosis["note"] or "ranking" in diagnosis["note"]
+
+    def test_infeasible_chain_gives_one_chain_verdict(self, run):
+        code, out, _ = run(
+            ["solve", "--constraint", "disparate-treatment:A,B,C"], stdin_text=CHAIN_CSV
+        )
+        assert code == 2
+        payload = strict_json(out)
+        assert len(payload["constraints"]) == 2
+        (diagnosis,) = payload["diagnosis"]
+        assert diagnosis["feasible"] is False
+        assert diagnosis["groups"] == ["A", "B", "C"]
+        assert "attainable_range" not in diagnosis and "required_ratio" not in diagnosis
 
     def test_empty_items_file_is_usage_error(self, run, tmp_path):
         path = tmp_path / "empty.csv"
@@ -606,6 +623,40 @@ class TestEvaluate:
         simulated = json.loads(out)
         assert simulated["dtr"] is None and simulated["dir"] is None
 
+    def test_negative_exposure_of_certified_matrix_gives_null_ratio(self, run):
+        # entries -5e-7 certify, and leave B with exposure -7.2e-7 in the
+        # dcg@1 tail: the ratio is undefined, not an error
+        solution = json.dumps(
+            {
+                "status": "optimal",
+                "n": 2,
+                "matrix": [1 + 5e-7, -5e-7, -5e-7, 1 + 5e-7],
+                "problem": {
+                    "items": [
+                        {"id": "a", "group": "A", "utility": 0.5},
+                        {"id": "b", "group": "B", "utility": 0.5},
+                    ],
+                    "bias": {"kind": "dcg@k", "values": [1.4427, 0.0]},
+                },
+            }
+        )
+        code, _, err = run(["decompose"], stdin_text=solution)
+        assert code == 0, err
+        code, out, err = run(["evaluate"], stdin_text=solution)
+        assert code == 0, err
+        payload = strict_json(out)
+        assert payload["groups"]["B"]["exposure"] < 0
+        assert payload["dtr"] is None and payload["dir"] is None
+
+    def test_against_optimal_accepts_certified_matrix_above_optimum(self, run, jobseeker_file):
+        # every row and column sums to 1 + 1e-6, so the identity, the PRP
+        # ranking here, is certified and beats the reference by 3.8e-6
+        solution = solve_json(run, jobseeker_file)
+        solution["matrix"] = (np.eye(6) * (1 + 1e-6)).ravel().tolist()
+        code, out, err = run(["evaluate", "--against-optimal"], stdin_text=json.dumps(solution))
+        assert code == 0, err
+        assert -3.9e-6 < json.loads(out)["cof"] < -3.8e-6
+
     def test_infeasible_solution_rejected(self, run):
         code, _, err = run(
             ["evaluate"], stdin_text=json.dumps({"status": "infeasible"})
@@ -655,6 +706,17 @@ class TestFeasibility:
         assert payload["feasible"] is False
         assert len(payload["attainable_range"]) == 2
         assert payload["note"]
+
+    def test_chain_exits_2(self, run):
+        code, out, _ = run(
+            ["feasibility", "--notion", "disparate-treatment", "--groups", "A, B,C"],
+            stdin_text=CHAIN_CSV,
+        )
+        assert code == 2
+        payload = strict_json(out)
+        assert payload["feasible"] is False
+        assert payload["groups"] == ["A", "B", "C"]
+        assert "the least A can get" in payload["note"]
 
     def test_parity_uses_witness(self, run, jobseeker_file):
         code, out, _ = run(

@@ -161,8 +161,11 @@ class TestMultiGroup:
 
     def test_rejects_duplicates_and_unknown_notion(self):
         problem = make_problem(groups=("A", "B", "C", "A", "B", "C"))
-        with pytest.raises(ValueError, match="overlap"):
+        # an adjacent pair is the pair builders' to reject, a later repeat the chain's
+        with pytest.raises(ValueError, match="the two groups must differ, both are 'A'"):
             multi_group_constraints(problem, "demographic-parity", ["A", "A"])
+        with pytest.raises(ValueError, match="overlap"):
+            multi_group_constraints(problem, "demographic-parity", ["A", "B", "A"])
         with pytest.raises(ValueError, match="notion"):
             multi_group_constraints(problem, "equalized-odds", ["A", "B"])
         with pytest.raises(ValueError, match="at least two"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairexposure.constraints import NOTIONS, disparate_treatment
+from fairexposure.constraints import NOTIONS, disparate_treatment, multi_group_constraints
 from fairexposure.core import (
     TOLERANCE,
     DoublyStochasticMatrix,
@@ -15,7 +15,7 @@ from fairexposure.core import (
     PositionBias,
     RankingProblem,
 )
-from fairexposure.feasibility import check_feasibility, dt_exposure_ratio_range
+from fairexposure.feasibility import check_feasibility
 from fairexposure.lp import solve_problem
 
 from .test_core import make_problem
@@ -51,31 +51,42 @@ def padded_adversarial_problem(fillers: int) -> RankingProblem:
     return RankingProblem(items=tuple(items), position_bias=bias)
 
 
+def attainable_range(size0: int, size1: int, v) -> tuple[float, float]:
+    """The treatment verdict's range for group A of ``size0`` items on top,
+    group B of ``size1`` next and filler items below, under bias ``v``."""
+    n = len(v)
+    groups = ("A",) * size0 + ("B",) * size1 + ("C",) * (n - size0 - size1)
+    problem = make_problem(
+        utilities=(0.5,) * len(groups), groups=groups, bias=PositionBias.explicit(v)
+    )
+    return check_treatment(problem, "A", "B").attainable_range
+
+
 class TestExposureRatioRange:
     def test_three_vs_three_oracle(self):
         v = log_discount(6)
-        lo, hi = dt_exposure_ratio_range(3, 3, v)
+        lo, hi = attainable_range(3, 3, v)
         assert hi == pytest.approx(1.81552, abs=1e-4)
         assert (lo, hi) == pytest.approx(RANGE_3V3_N6, abs=1e-9)
 
     def test_flat_bias_pins_ratio_to_one(self):
-        assert dt_exposure_ratio_range(1, 1, np.array([1.0, 1.0])) == (1.0, 1.0)
+        assert attainable_range(1, 1, np.array([1.0, 1.0])) == (1.0, 1.0)
 
     def test_equal_sizes_are_reciprocal(self):
         v = log_discount(9)
         for size in (1, 2, 4):
-            lo, hi = dt_exposure_ratio_range(size, size, v)
+            lo, hi = attainable_range(size, size, v)
             assert lo == pytest.approx(1.0 / hi, abs=1e-12)
 
     def test_unequal_sizes(self):
         v = log_discount(6)
-        lo, hi = dt_exposure_ratio_range(2, 3, v)
+        lo, hi = attainable_range(2, 3, v)
         assert hi == pytest.approx(MAX_2V3_N6, abs=1e-9)
         assert lo == pytest.approx(MIN_2V3_N6, abs=1e-9)
 
     def test_zero_tail_gives_unbounded_maximum(self):
         v = np.array([1.0, 0.6, 0.0, 0.0])
-        lo, hi = dt_exposure_ratio_range(2, 2, v)
+        lo, hi = attainable_range(2, 2, v)
         assert hi == np.inf
         assert lo == 0.0
 
@@ -85,29 +96,30 @@ class TestExposureRatioRange:
             n = int(rng.integers(2, 12))
             s0 = int(rng.integers(1, n))
             s1 = int(rng.integers(1, n - s0 + 1))
-            lo, hi = dt_exposure_ratio_range(s0, s1, log_discount(n))
+            lo, hi = attainable_range(s0, s1, log_discount(n))
             assert lo <= 1.0 + 1e-12 and hi >= 1.0 - 1e-12
 
     def test_widening_tail_never_shrinks_range(self):
         previous = RANGE_3V3_N6
         for n in (8, 10, 12):
-            lo, hi = dt_exposure_ratio_range(3, 3, log_discount(n))
+            lo, hi = attainable_range(3, 3, log_discount(n))
             assert hi >= previous[1] - 1e-12
             assert lo <= previous[0] + 1e-12
             previous = (lo, hi)
 
     def test_rejects_bad_inputs(self):
+        # sizes and bias shapes are settled where the problem is built
         v = log_discount(4)
-        with pytest.raises(ValueError, match="do not fit"):
-            dt_exposure_ratio_range(3, 2, v)
-        with pytest.raises(ValueError, match="at least 1"):
-            dt_exposure_ratio_range(0, 2, v)
+        with pytest.raises(ValueError, match="5 items but position bias of length 4"):
+            attainable_range(3, 2, v)
+        with pytest.raises(ValueError, match="group 'A' has no items"):
+            attainable_range(0, 2, v)
         with pytest.raises(ValueError, match="non-increasing"):
-            dt_exposure_ratio_range(1, 1, np.array([0.2, 0.8]))
+            attainable_range(1, 1, np.array([0.2, 0.8]))
         with pytest.raises(ValueError, match="entirely zero"):
-            dt_exposure_ratio_range(1, 1, np.zeros(3))
+            attainable_range(1, 1, np.zeros(3))
         with pytest.raises(ValueError, match="non-empty vector"):
-            dt_exposure_ratio_range(1, 1, [])
+            PositionBias.explicit([])
 
 
 class TestCheckDtFeasibility:
@@ -184,6 +196,68 @@ class TestCheckFeasibility:
         problem = make_problem(utilities=(0.5, 0.5, 0.5, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="zero mean utility"):
             check_feasibility(problem, "disparate-impact", "M", "F")
+
+
+# every pair of this A,B,C treatment chain is feasible, the chain is not
+CHAIN_ITEMS = (("C", 0.523), ("B", 0.867), ("B", 0.128), ("B", 0.69), ("C", 0.342),
+               ("C", 0.725), ("A", 0.307))
+
+
+def chain_problem() -> RankingProblem:
+    groups, utilities = zip(*CHAIN_ITEMS)
+    return make_problem(utilities=utilities, groups=groups)
+
+
+class TestChainRule:
+    def test_infeasible_chain_of_feasible_pairs(self):
+        problem = chain_problem()
+        assert check_treatment(problem, "A", "B").feasible
+        assert check_treatment(problem, "B", "C").feasible
+        verdict = check_feasibility(problem, "disparate-treatment", "A", "B", "C")
+        assert not verdict.feasible
+        assert verdict.groups == ("A", "B", "C")
+        constraints = multi_group_constraints(problem, "disparate-treatment", ["A", "B", "C"])
+        assert solve_problem(problem, constraints).status == "infeasible"
+
+    def test_chain_verdict_names_the_crossing_bounds(self):
+        verdict = check_feasibility(chain_problem(), "disparate-treatment", "A", "B", "C")
+        payload = verdict.to_dict()
+        assert "required_ratio" not in payload and "attainable_range" not in payload
+        # A alone at the bottom gets more per unit utility than B and C on top
+        assert "at least 1.56644, the least A can get" in verdict.note
+        assert "at most 1.45576, the most B,C can get" in verdict.note
+        assert "none of the groups" in verdict.note
+
+    def test_fillers_restore_chain_feasibility(self):
+        problem = chain_problem()
+        padded = make_problem(
+            utilities=tuple(problem.utilities) + (0.5,) * 4,
+            groups=tuple(it.group for it in problem.items) + ("Z",) * 4,
+        )
+        verdict = check_feasibility(padded, "disparate-treatment", "A", "B", "C")
+        assert verdict.feasible and verdict.note == ""
+
+    @pytest.mark.parametrize("notion", sorted(NOTIONS))
+    def test_chain_checked_as_the_constraint_builder_checks_it(self, notion):
+        problem = chain_problem()
+        with pytest.raises(ValueError, match="overlap"):
+            check_feasibility(problem, notion, "A", "B", "A")
+        with pytest.raises(ValueError, match="at least two"):
+            check_feasibility(problem, notion, "A")
+        with pytest.raises(ValueError, match="group 'X' has no items"):
+            check_feasibility(problem, notion, "A", "B", "X")
+
+    def test_witness_covers_chains(self):
+        verdict = check_feasibility(chain_problem(), "demographic-parity", "C", "A", "B")
+        assert verdict.feasible and verdict.method == "witness"
+        assert verdict.groups == ("C", "A", "B")
+
+    def test_all_zero_bias_rejected(self):
+        problem = make_problem(
+            utilities=(0.5,) * 3, groups=("A", "B", "C"), bias=PositionBias.explicit([0.0] * 3)
+        )
+        with pytest.raises(ValueError, match="entirely zero"):
+            check_feasibility(problem, "disparate-treatment", "A", "B", "C")
 
 
 @st.composite

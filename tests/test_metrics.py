@@ -10,7 +10,12 @@ from fairexposure.constraints import (
     disparate_impact,
     disparate_treatment,
 )
-from fairexposure.core import DoublyStochasticMatrix, permutation_matrix, prp_ranking
+from fairexposure.core import (
+    DoublyStochasticMatrix,
+    PositionBias,
+    permutation_matrix,
+    prp_ranking,
+)
 from fairexposure.lp import solve_problem
 from fairexposure.metrics import MetricsReport, evaluate
 
@@ -140,6 +145,18 @@ class TestCostOfFairness:
             P = permutation_matrix(rng.permutation(6))
             assert cof(best, P, problem) >= -1e-6
 
+    def test_certified_matrix_may_beat_reference_within_floor(self):
+        # row and column sums 1 + 1e-6 certify; the floor is -(n+1)·1e-6·OPT
+        problem = make_problem()
+        best = permutation_matrix(prp_ranking(problem))
+        assert cof(best, np.eye(6) * (1 + 1e-6), problem) == pytest.approx(-3.819e-6, rel=1e-3)
+
+    def test_reversed_reference_still_rejected_for_certified_matrix(self):
+        problem = make_problem()
+        worst = permutation_matrix(prp_ranking(problem)[::-1])
+        with pytest.raises(ValueError, match="not the unconstrained optimum"):
+            evaluate(np.eye(6) * (1 + 1e-6), problem, reference=worst)
+
     def test_monotone_in_constraints(self):
         problem = make_problem()
         best = solve_problem(problem).matrix
@@ -203,6 +220,17 @@ class TestEvaluate:
         worst = permutation_matrix(prp_ranking(problem)[::-1])
         with pytest.raises(ValueError, match="not the unconstrained optimum"):
             evaluate(np.eye(6), problem, reference=worst)
+
+    def test_negative_exposure_gives_undefined_ratios(self):
+        problem = make_problem(
+            utilities=(0.5, 0.5),
+            groups=("A", "B"),
+            bias=PositionBias("dcg@k", [1.4427, 0.0]),
+        )
+        P = DoublyStochasticMatrix([[1 + 5e-7, -5e-7], [-5e-7, 1 + 5e-7]])
+        report = evaluate(P, problem)
+        assert report.group("B").exposure < 0 and report.group("B").ctr < 0
+        assert report.dtr is None and report.dir is None
 
     def test_unknown_group_in_report_lookup(self):
         report = evaluate(np.eye(6), make_problem())

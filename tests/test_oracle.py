@@ -1,0 +1,113 @@
+"""An independent oracle for small N: the program as an LP over all N! rankings.
+
+By Birkhoff–von Neumann every doubly stochastic matrix is a lottery over
+permutation matrices, so maximising ``u·P·v`` over P subject to
+``f·P·g = h`` equals maximising ``Σ θ_k u·v[inv_k]`` over ranking weights
+``θ >= 0`` with ``Σ θ_k = 1`` and ``Σ θ_k f·g[inv_k] = h`` per constraint,
+where ``inv_k[i]`` is the position ranking k gives item i.  That program
+shares no code with ``build_lp``, ``solve`` or ``check_feasibility``, so it
+checks all three.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import permutations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from fairexposure.bvn import decompose, reconstruct
+from fairexposure.constraints import NOTIONS, FairnessConstraint, multi_group_constraints
+from fairexposure.core import PositionBias, RankingProblem, utility
+from fairexposure.feasibility import check_feasibility
+from fairexposure.lp import solve_problem
+
+from .test_core import make_problem
+
+CHAIN = ("A", "B", "C", "D")
+
+
+@lru_cache(maxsize=None)
+def positions(n: int) -> np.ndarray:
+    """``(n!, n)``: row k gives the position of each item in ranking k."""
+    return np.array(list(permutations(range(n))))
+
+
+def ranking_lp(problem: RankingProblem, constraints) -> tuple[str, float]:
+    """Status and optimum of the program over the weights of all rankings."""
+    inv = positions(problem.n)
+    gain = problem.bias[inv] @ problem.utilities
+    rows = [c.g[inv] @ c.f for c in constraints] + [np.ones(len(inv))]
+    rhs = [c.h for c in constraints] + [1.0]
+    result = linprog(-gain, A_eq=np.array(rows), b_eq=rhs, bounds=(0.0, None), method="highs")
+    assert result.status in (0, 2), result.message
+    return ("optimal", -result.fun) if result.status == 0 else ("infeasible", None)
+
+
+@st.composite
+def chain_instances(draw):
+    """A notion, a chain of 2-4 groups in random order, and a problem of
+    N <= 7 items: each chain group has an item of positive utility, the
+    other items belong to the chain or to filler groups Y and Z, utilities
+    are 3-decimal and sometimes 0, and the bias is log or dcg@k."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 7))
+    labels = list(CHAIN[:k]) + draw(
+        st.lists(st.sampled_from(CHAIN[:k] + ("Y", "Z")), min_size=n - k, max_size=n - k)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    utilities = rng.uniform(0.0, 1.0, size=n).round(3)
+    utilities[rng.random(n) < draw(st.floats(0.0, 0.6))] = 0.0
+    utilities[:k] = rng.uniform(0.01, 1.0, size=k).round(3)
+    order = rng.permutation(n)
+    if draw(st.booleans()):
+        bias = PositionBias.dcg_at_k(n, k=draw(st.integers(1, n)))
+    else:
+        bias = PositionBias.log_discount(n, base=draw(st.sampled_from(["e", "2"])))
+    problem = make_problem(
+        utilities=tuple(utilities[order]), groups=tuple(labels[i] for i in order), bias=bias
+    )
+    chain = draw(st.permutations(CHAIN[:k]))
+    return draw(st.sampled_from(sorted(NOTIONS))), chain, problem
+
+
+class TestRankingLotteryOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(chain_instances())
+    def test_verdict_solve_and_oracle_agree(self, instance):
+        notion, chain, problem = instance
+        constraints = multi_group_constraints(problem, notion, chain)
+        verdict = check_feasibility(problem, notion, *chain)
+        report = solve_problem(problem, constraints)
+        status, best = ranking_lp(problem, constraints)
+        assert report.status == status
+        assert verdict.feasible == (status == "optimal")
+        if status == "optimal":
+            assert abs(report.objective - best) <= 1e-9 * abs(best)
+            lottery = utility(reconstruct(decompose(report.matrix)), problem)
+            assert abs(lottery - best) <= 1e-9 * abs(best)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.integers(1, 2), st.booleans())
+    def test_custom_rows_agree(self, n, seed, rows, reachable):
+        """Random rows ``f·P·g = h`` with ``g != v``: each h is met by some
+        two-ranking lottery, or lies past every ranking's value."""
+        rng = np.random.default_rng(seed)
+        problem = make_problem(
+            utilities=tuple(rng.uniform(0.0, 1.0, n).round(3)), groups=("A",) * n
+        )
+        inv = positions(n)
+        constraints = []
+        for _ in range(rows):
+            f, g = rng.normal(size=n), rng.uniform(0.0, 2.0, n)
+            values = g[inv] @ f
+            h = values[rng.choice(len(inv), 2)].mean() if reachable else values.max() + 0.1
+            constraints.append(FairnessConstraint(f, g, h))
+        report = solve_problem(problem, constraints)
+        status, best = ranking_lp(problem, constraints)
+        assert report.status == status
+        if status == "optimal":
+            assert abs(report.objective - best) <= 1e-9 * max(abs(best), 1.0)
