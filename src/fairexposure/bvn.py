@@ -24,12 +24,22 @@ step, and what it leaves is the residual.
 
 A decomposition is the sampleable form of a probabilistic ranking: draw
 term i with probability theta_i and show its ranking.
+``BvnDecomposition.term_index`` is the one inverse-CDF lookup from a
+fraction in [0, 1] to a term, used by the sampler and the simulator; its
+caches (the cumulative weights as Python floats, and a guide table) live
+on the decomposition and are read nowhere else.
+
+``decompose`` returns its result through the public ``BvnDecomposition``
+constructor, with every check; only its terms skip the public ``BvnTerm``
+checks, for the cost given in ``BvnTerm._trusted``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -77,7 +87,11 @@ class BvnTerm:
 
     @classmethod
     def _trusted(cls, theta: float, ranking: np.ndarray) -> "BvnTerm":
-        """A term from a read-only int permutation ``decompose`` found, unchecked."""
+        """A term from a read-only int permutation ``decompose`` found, unchecked.
+
+        ``decompose`` builds every term here: the public checks (``as_ranking``
+        sorting each ranking) would cost about a fifth of a dense decomposition.
+        """
         term = object.__new__(cls)
         object.__setattr__(term, "theta", theta)
         object.__setattr__(term, "ranking", ranking)
@@ -98,48 +112,29 @@ class BvnDecomposition:
     residual: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.terms:
-            n = self.terms[0].ranking.size
-            if any(t.ranking.size != n for t in self.terms):
-                raise ValueError("terms have inconsistent ranking lengths")
-            keys = {tuple(t.ranking.tolist()) for t in self.terms}
-            if len(keys) != len(self.terms):
-                raise ValueError("the same permutation appears in more than one term")
-        object.__setattr__(self, "terms", tuple(self.terms))
-        self._check_totals()
-        object.__setattr__(self, "residual", float(self.residual))
-
-    @classmethod
-    def _trusted(cls, terms: tuple[BvnTerm, ...], residual: float) -> "BvnDecomposition":
-        """A decomposition of distinct, same-length terms, as ``decompose`` builds them.
-
-        Only the term count, the residual and the total weight are checked.
-        """
-        decomposition = object.__new__(cls)
-        object.__setattr__(decomposition, "terms", terms)
-        object.__setattr__(decomposition, "residual", residual)
-        decomposition._check_totals()
-        return decomposition
-
-    def _check_totals(self) -> None:
-        if not self.terms:
+        terms = tuple(self.terms)
+        if not terms:
             raise ValueError("a decomposition needs at least one term")
-        n = self.n
-        if len(self.terms) > term_bound(n):
-            raise ValueError(
-                f"{len(self.terms)} terms exceed the bound {term_bound(n)} for n={n}"
-            )
+        n = terms[0].ranking.size
+        if any(t.ranking.size != n for t in terms):
+            raise ValueError("terms have inconsistent ranking lengths")
+        if len({tuple(t.ranking.tolist()) for t in terms}) != len(terms):
+            raise ValueError("the same permutation appears in more than one term")
+        if len(terms) > term_bound(n):
+            raise ValueError(f"{len(terms)} terms exceed the bound {term_bound(n)} for n={n}")
         bound = _residual_bound(n)
         if not (_is_number(self.residual) and 0.0 <= self.residual <= bound):
             raise ValueError(
                 f"residual must be a number in [0, {bound:.3g}], got {self.residual!r}"
             )
-        total = float(sum(t.theta for t in self.terms))
+        total = float(sum(t.theta for t in terms))
         if abs(total + self.residual - 1.0) > TOLERANCE:
             raise ValueError(
                 f"term weights sum to {total} with residual {self.residual}; "
                 f"expected 1 within {TOLERANCE:g}"
             )
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "residual", float(self.residual))
 
     @property
     def n(self) -> int:
@@ -178,6 +173,27 @@ class BvnDecomposition:
         guide = np.searchsorted(self.cumulative_weights, np.arange(size + 1) / size, side="left")
         guide.flags.writeable = False
         return guide
+
+    def term_index(self, t: Union[float, np.ndarray]):
+        """Inverse-CDF lookup of the term owning each fraction in ``t``, in [0, 1].
+
+        A fraction landing exactly on a cumulative boundary resolves to the
+        lower index, and 1.0 to the last term: the result is exactly
+        ``np.searchsorted(self.cumulative_weights, t, side="left")``.
+        A float bisects the cumulative weights as Python floats; an array
+        starts each fraction at its guide-table entry and steps forward while
+        the term's cumulative weight is still below the fraction.
+        """
+        if isinstance(t, float):
+            return bisect_left(self._cumulative_tuple, t)
+        cum = self.cumulative_weights
+        guide = self._term_guide
+        index = guide[(t * (guide.size - 1)).astype(np.intp)]
+        behind = np.flatnonzero(cum[index] < t)
+        while behind.size:
+            index[behind] += 1
+            behind = behind[cum[index[behind]] < t[behind]]
+        return index
 
 
 def decompose(P: MatrixLike) -> BvnDecomposition:
@@ -239,14 +255,14 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
         capped = theta < low
     residual = max(largest, 0.0)
 
-    # every matching is a permutation and none repeats (module docstring),
-    # so the terms skip the public per-term checks
+    # every matching is a permutation, so the terms skip the public
+    # per-term checks (BvnTerm._trusted)
     table = np.array(rankings, dtype=int)
     table.flags.writeable = False
     # weight descending, then ranking ascending, lexicographically
     order = np.lexsort(tuple(table.T[::-1]) + (-np.array(thetas),))
     terms = tuple(BvnTerm._trusted(thetas[k], table[k]) for k in order.tolist())
-    return BvnDecomposition._trusted(terms, residual)
+    return BvnDecomposition(terms, residual)
 
 
 def reconstruct(decomposition: BvnDecomposition) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -288,7 +289,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.user is not None:
         if args.seed is not None:
             raise ValueError("--seed applies to --count sampling, not --user")
-        rankings = [sample_for_user(decomposition, args.user)]
+        rankings = [sample_for_user(decomposition, os.fsencode(args.user))]
     else:
         picks = sample_indices(
             decomposition, args.count, rng=0 if args.seed is None else args.seed

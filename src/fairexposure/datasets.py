@@ -47,7 +47,8 @@ Source = Union[str, PathLike, IO[str]]
 def read_items_csv(source: Source) -> tuple[Item, ...]:
     """Parse items from ``source`` (a path or an open text stream).
 
-    The first row must be exactly ``id,group,utility``.  Errors carry the
+    The first row must be exactly ``id,group,utility``, after one leading
+    byte-order mark (U+FEFF), if any, is dropped.  Errors carry the
     1-based line number of the offending row.
     """
     try:
@@ -60,6 +61,8 @@ def read_items_csv(source: Source) -> tuple[Item, ...]:
         raise ValueError(f"not a valid CSV file: {exc}") from None
     if not rows:
         raise ValueError("empty input: expected header 'id,group,utility'")
+    if rows[0] and rows[0][0].startswith("\ufeff"):
+        rows[0][0] = rows[0][0][1:]  # the byte-order mark of "CSV UTF-8" exports
     if [cell.strip() for cell in rows[0]] != list(CSV_HEADER):
         raise ValueError(
             f"line 1: expected header 'id,group,utility', got {','.join(rows[0])!r}"

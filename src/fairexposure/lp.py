@@ -16,9 +16,9 @@ then the n column sums, as one sparse block, then one dense rank-1 row
 ``outer(f, g)`` with right-hand side h per fairness constraint
 ``f @ P @ g = h``, in the order given.  The 2N sum rows have rank 2N - 1;
 all are passed and HiGHS tolerates the redundancy.
-Solutions are certified after the fact: entries are clamped to [0, 1]
-only within 1e-9 of the bounds, never renormalized, and the solve fails
-if ``stochastic_violation`` or any constraint's ``residual`` exceeds the
+Solutions are certified after the fact, exactly as HiGHS returns them
+(never clamped or renormalized): the solve fails if
+``stochastic_violation`` or any constraint's ``residual`` exceeds the
 shared tolerance ``core.TOLERANCE``, the same one every layer accepts.
 
 Memory grows as N² per fairness row; HiGHS solve time, not assembly,
@@ -49,9 +49,6 @@ __all__ = [
     "solve_problem",
     "dump_lp",
 ]
-
-# entries this close to the [0, 1] bounds are snapped onto them
-CLAMP_SLACK = 1e-9
 
 
 class NumericalFailure(RuntimeError):
@@ -133,20 +130,12 @@ def _rows(lp: LinearProgram):
     return rows, np.concatenate([np.ones(2 * n), [c.h for c in lp.constraints]])
 
 
-def _clamp(x: np.ndarray) -> np.ndarray:
-    """Snap entries within CLAMP_SLACK of the bounds onto [0, 1]."""
-    x = x.copy()
-    x[(x < 0.0) & (x >= -CLAMP_SLACK)] = 0.0
-    x[(x > 1.0) & (x <= 1.0 + CLAMP_SLACK)] = 1.0
-    return x
-
-
 def solve(lp: LinearProgram) -> SolveReport:
     """Solve ``lp`` to optimality and certify the solution.
 
     Raises :class:`NumericalFailure` when the solver reports neither an
-    optimum nor infeasibility, or when a claimed optimum violates some constraint by more than ``TOLERANCE``
-    after clamping.
+    optimum nor infeasibility, or when a claimed optimum violates some
+    constraint by more than ``TOLERANCE``.
     """
     from scipy.optimize import linprog
 
@@ -163,7 +152,7 @@ def solve(lp: LinearProgram) -> SolveReport:
             f"solver stopped without an optimum (status {result.status}): {result.message}"
         )
 
-    x = _clamp(np.asarray(result.x, dtype=float))
+    x = np.asarray(result.x, dtype=float)
     entries = x.reshape(n, n)
     worst = max([stochastic_violation(entries)] + [c.residual(entries) for c in lp.constraints])
     if worst > TOLERANCE:

@@ -4,12 +4,11 @@
 their weights.  ``sample_for_user`` replaces the random draw with a hash
 of the user's identity, so the same user always sees the same ranking
 while the population as a whole still realizes the mixture weights.
-Both, and the simulator, map a fraction in [0, 1] to a term by the same
-inverse-CDF lookup, exactly ``np.searchsorted(cumulative_weights, t,
-side="left")``.  A batch of fractions starts at a guide table (Chen &
-Asau, 1974) cached on the decomposition and steps past the few
-boundaries left; one fraction bisects the cumulative weights as Python
-floats.
+Both, and the simulator, map a fraction in [0, 1] to a term by the one
+inverse-CDF lookup, ``BvnDecomposition.term_index`` (exactly
+``np.searchsorted(cumulative_weights, t, side="left")``), which owns its
+caches: a guide table (Chen & Asau, 1974) for a batch of fractions, the
+cumulative weights as Python floats for one.
 
 The user hash is pinned for cross-platform reproducibility: FNV-1a
 (64-bit, offset basis 0xcbf29ce484222325, prime 0x100000001b3) over the
@@ -21,7 +20,6 @@ round to 1.0, the top of the lookup's range.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Union
 
 import numpy as np
@@ -61,40 +59,18 @@ def hash_user_key(key: Union[str, bytes, bytearray]) -> int:
     return h ^ (h >> 31)
 
 
-def _term_index(decomposition: BvnDecomposition, t: Union[float, np.ndarray]):
-    """Inverse-CDF lookup of the term owning each fraction in ``t``, in [0, 1].
-
-    A fraction landing exactly on a cumulative boundary resolves to the
-    lower index, and 1.0 to the last term: the result is exactly
-    ``np.searchsorted(decomposition.cumulative_weights, t, side="left")``.
-    A float bisects the cumulative weights as Python floats; an array
-    starts each fraction at its guide-table entry and steps forward while
-    the term's cumulative weight is still below the fraction.
-    """
-    if isinstance(t, float):
-        return bisect_left(decomposition._cumulative_tuple, t)
-    cum = decomposition.cumulative_weights
-    guide = decomposition._term_guide
-    index = guide[(t * (guide.size - 1)).astype(np.intp)]
-    behind = np.flatnonzero(cum[index] < t)
-    while behind.size:
-        index[behind] += 1
-        behind = behind[cum[index[behind]] < t[behind]]
-    return index
-
-
 def sample_indices(
     decomposition: BvnDecomposition, count: int, rng: RngLike = None
 ) -> np.ndarray:
     """Draw ``count`` term indices from one stream (vectorized)."""
     if not _is_int(count) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    return _term_index(decomposition, np.random.default_rng(rng).random(count))
+    return decomposition.term_index(np.random.default_rng(rng).random(count))
 
 
 def sample_for_user(
     decomposition: BvnDecomposition, user_key: Union[str, bytes, bytearray]
 ) -> np.ndarray:
     """Deterministic ranking for one user: same key, same ranking, always."""
-    index = _term_index(decomposition, hash_user_key(user_key) / 2.0**64)
+    index = decomposition.term_index(hash_user_key(user_key) / 2.0**64)
     return decomposition.terms[index].ranking

@@ -58,7 +58,6 @@ from numpy.random import Philox
 from .bvn import BvnDecomposition
 from .core import RankingProblem, _is_int
 from .metrics import _utility_ratio
-from .sampler import _term_index
 
 __all__ = ["GroupSimulation", "SimulationReport", "simulate"]
 
@@ -244,7 +243,7 @@ def simulate(
         stream = Philox(key=np.array([seed, chunk], dtype=np.uint64))
         words = stream.random_raw((count, draws_per_user))
         np.right_shift(words, 11, out=words)  # the 53 bits Generator.random keeps
-        term_of_user = _term_index(decomposition, words[:, 0] * 2.0**-53)
+        term_of_user = decomposition.term_index(words[:, 0] * 2.0**-53)
         events = np.empty((count, 2, n), dtype=bool)  # (user, exam/click, position)
         np.less(words[:, 1 : n + 1], exam_threshold, out=events[:, 0])
         thresholds = np.take(click_threshold, term_of_user, axis=0)

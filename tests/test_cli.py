@@ -18,6 +18,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 import fairexposure
+from fairexposure.bvn import BvnDecomposition, BvnTerm
 from fairexposure.cli import main
 from fairexposure.core import (
     PositionBias,
@@ -28,6 +29,7 @@ from fairexposure.core import (
     utility,
 )
 from fairexposure.datasets import read_items_csv
+from fairexposure.sampler import sample_for_user
 
 JOBSEEKER_CSV = (
     "id,group,utility\n"
@@ -265,6 +267,16 @@ class TestSolve:
         assert code == 3 and out == ""
         assert "status 3" in err and "Traceback" not in err
 
+    def test_uncertified_optimum_exits_3(self, run, jobseeker_file, monkeypatch):
+        # a status-0 point off the polytope: every row and column sums to 0
+        off = OptimizeResult(
+            status=0, message="Optimization terminated successfully.", nit=0, x=np.zeros(36)
+        )
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: off)
+        code, out, err = run(["solve", jobseeker_file])
+        assert code == 3 and out == ""
+        assert "claimed optimum violates constraints" in err and "Traceback" not in err
+
     def test_bad_bias_flag(self, run, jobseeker_file):
         code, _, err = run(["solve", jobseeker_file, "--bias", "linear:3"])
         assert code == 1
@@ -480,6 +492,27 @@ class TestSample:
         )
         assert first[1] == second[1]
 
+    def test_user_key_hashes_its_command_line_bytes(self, run, parity_decomposition):
+        # "\udcff" is how Python reads the non-UTF-8 argument byte 0xff
+        code, out, err = run(["sample", "--user", "\udcff"], stdin_text=parity_decomposition)
+        assert code == 0, err
+        payload = json.loads(parity_decomposition)
+        dec = BvnDecomposition(
+            tuple(BvnTerm(t["theta"], t["ranking"]) for t in payload["terms"]),
+            payload["residual"],
+        )
+        ids = [it["id"] for it in payload["problem"]["items"]]
+        assert out == ",".join(ids[i] for i in sample_for_user(dec, b"\xff")) + "\n"
+
+    def test_closed_stdout_exits_0(self, run, parity_decomposition, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code, _, err = run(["sample", "--count", "5"], stdin_text=parity_decomposition)
+        assert code == 0 and err == ""
+
     def test_user_and_seed_conflict(self, run, parity_decomposition):
         code, _, err = run(
             ["sample", "--user", "alice", "--seed", "3"],
@@ -669,6 +702,12 @@ class TestEvaluate:
         code, out, err = run(["evaluate", "--group-pair", "M,M"], stdin_text=solution)
         assert code == 1 and out == ""
         assert "the two groups must differ, both are 'M'" in err
+
+    @pytest.mark.parametrize("flag", ["M", "M,F,M", "M,"])
+    def test_group_pair_needs_two_labels(self, run, flag):
+        code, out, err = run(["evaluate", "--group-pair", flag], stdin_text="{}")
+        assert code == 1 and out == ""
+        assert f"group pair must look like 'G0,G1', got {flag!r}" in err
 
 
 class TestFeasibility:
@@ -961,6 +1000,7 @@ CONTRACT_INPUTS = {
     "empty": "",
     "non-object": "[1, 2]",
     "truncated": '{"n": 2, "matrix": [1.0, 0.0',
+    "no-matrix": '{"n": 2}',
     "bad-csv-header": "name,team,score\nx,A,0.5\n",
     "deep-nesting": "[" * 100000 + "]" * 100000,
     "non-string-id": _lottery_payload(

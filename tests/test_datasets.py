@@ -78,6 +78,18 @@ class TestReadItemsCsv:
         path.write_text("id,group,utility\na,G,0.5\n", encoding="utf-8")
         assert read_items_csv(path)[0].id == "a"
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with the bytes EF BB BF
+        path = tmp_path / "items.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,group,utility\na,G,0.5\n")
+        assert read_items_csv(path)[0].id == "a"
+        with open(path, encoding="utf-8", newline="") as stream:
+            assert read_items_csv(stream)[0].id == "a"
+
+    def test_only_one_byte_order_mark_dropped(self):
+        with pytest.raises(ValueError, match="line 1: expected header"):
+            read_items_csv(io.StringIO("\ufeff\ufeffid,group,utility\na,G,0.5\n"))
+
 
 class TestWriteItemsCsv:
     def test_round_trips_exactly(self, tmp_path):

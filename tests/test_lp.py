@@ -214,6 +214,15 @@ class TestSolve:
         with pytest.raises(NumericalFailure, match="status 3"):
             solve_problem(make_problem())
 
+    def test_uncertified_optimum_raises(self, monkeypatch):
+        # status 0 with a point off the polytope: every row and column sums to 0
+        off = OptimizeResult(
+            status=0, message="Optimization terminated successfully.", nit=0, x=np.zeros(36)
+        )
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: off)
+        with pytest.raises(NumericalFailure, match="claimed optimum violates constraints by 1"):
+            solve_problem(make_problem())
+
     def test_constraint_labels_in_given_order(self):
         problem = make_problem()
         eq = demographic_parity(problem, "M", "F")

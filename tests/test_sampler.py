@@ -13,7 +13,7 @@ from fairexposure.constraints import demographic_parity
 from fairexposure.core import permutation_matrix
 from fairexposure.lp import solve_problem
 from fairexposure.metrics import evaluate
-from fairexposure.sampler import _term_index, hash_user_key, sample_for_user, sample_indices
+from fairexposure.sampler import hash_user_key, sample_for_user, sample_indices
 
 from .test_core import make_problem
 
@@ -62,10 +62,10 @@ class TestTermIndexForFraction:
     def test_boundary_resolves_to_lower_index(self):
         dec = two_term_decomposition(0.3)
         # cumulative boundaries at 0.3 and 1.0
-        assert _term_index(dec, 0.3) == 0
-        assert _term_index(dec, 0.3 + 1e-12) == 1
-        assert _term_index(dec, 0.0) == 0
-        np.testing.assert_array_equal(_term_index(dec, np.array([0.0, 0.3, 0.5])), [0, 0, 1])
+        assert dec.term_index(0.3) == 0
+        assert dec.term_index(0.3 + 1e-12) == 1
+        assert dec.term_index(0.0) == 0
+        np.testing.assert_array_equal(dec.term_index(np.array([0.0, 0.3, 0.5])), [0, 0, 1])
 
     def test_cumulative_weights_computed_once(self):
         dec = two_term_decomposition(0.3)
@@ -111,22 +111,22 @@ class TestTermLookupIsSearchsorted:
         t = np.concatenate([cum, *neighbours, [0.0, 1.0], uniform])
         t = t[t <= 1.0]
         expected = np.searchsorted(cum, t, side="left")
-        got = _term_index(dec, t)
+        got = dec.term_index(t)
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
-        scalars = [_term_index(dec, x) for x in t.tolist()]
+        scalars = [dec.term_index(x) for x in t.tolist()]
         np.testing.assert_array_equal(scalars, expected)
-        assert _term_index(dec, 1.0) == np.searchsorted(cum, 1.0, side="left")
+        assert dec.term_index(1.0) == np.searchsorted(cum, 1.0, side="left")
         empty = np.empty(0)
-        assert _term_index(dec, empty).dtype == np.searchsorted(cum, empty).dtype
+        assert dec.term_index(empty).dtype == np.searchsorted(cum, empty).dtype
         assert sample_indices(dec, 0, 1).dtype == expected.dtype
 
     def test_fraction_one_is_last_term(self):
         # hash / 2**64 rounds up to 1.0 for hashes within 2**10 of 2**64
         assert (2**64 - 1) / 2.0**64 == 1.0
         dec = two_term_decomposition(0.3)
-        assert _term_index(dec, 1.0) == 1
-        assert _term_index(dec, np.array([1.0])).tolist() == [1]
+        assert dec.term_index(1.0) == 1
+        assert dec.term_index(np.array([1.0])).tolist() == [1]
 
 
 class TestSample:
