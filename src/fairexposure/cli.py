@@ -263,11 +263,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if payload.get("problem") is not None:
         # checked as the later commands will read it, then echoed as given
         _problem_from_json(payload, "solution", matrix.n)
-    try:
-        decomposition = decompose(matrix)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    decomposition = decompose(matrix)
     _print_json(
         {
             "n": decomposition.n,
@@ -302,6 +298,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     matrix, payload = _read_solution(args.input, "evaluate")
+    if payload.get("problem") is None:
+        raise ValueError("solution embeds no problem; evaluate needs its items and bias")
     problem = _problem_from_json(payload, "solution", matrix.n)
     reference = permutation_matrix(prp_ranking(problem)) if args.against_optimal else None
     report = evaluate(matrix, problem, group_pair=args.group_pair, reference=reference)

@@ -67,6 +67,8 @@ class Item:
     def __post_init__(self) -> None:
         if not (isinstance(self.id, str) and isinstance(self.group, str)):
             raise ValueError(f"item id and group must be strings, got {self.id!r}, {self.group!r}")
+        if not self.id:
+            raise ValueError("empty item id")
         if not (_is_number(self.utility) and 0.0 <= self.utility <= 1.0):
             raise ValueError(
                 f"utility of item {self.id!r} must be a number in [0, 1], got {self.utility!r}"
@@ -90,6 +92,8 @@ class PositionBias:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, str):
+            raise ValueError(f"position bias kind must be a string, got {self.kind!r}")
         v = _as_reals(self.values, "position bias")
         if v.ndim != 1 or v.size < 1:
             raise ValueError("position bias must be a non-empty vector")
@@ -209,16 +213,20 @@ def stochastic_violation(matrix: np.ndarray) -> float:
     """Largest deviation of ``matrix`` from the doubly stochastic conditions.
 
     Covers row sums, column sums, negativity, and entries above one; a true
-    doubly stochastic matrix scores exactly 0, one with a NaN entry infinity.
+    doubly stochastic matrix scores exactly 0, one with a NaN entry or a
+    line sum beyond the float range infinity.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # NaN, inf or ±1e308 entries make a line sum non-finite, and NaN > TOLERANCE is false
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols = m.sum(axis=1), m.sum(axis=0)
+    if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
         return math.inf
     return max(
-        float(np.abs(m.sum(axis=1) - 1.0).max()),
-        float(np.abs(m.sum(axis=0) - 1.0).max()),
+        float(np.abs(rows - 1.0).max()),
+        float(np.abs(cols - 1.0).max()),
         float(max(0.0, -m.min())),
         float(max(0.0, m.max() - 1.0)),
     )

@@ -75,8 +75,6 @@ def read_items_csv(source: Source) -> tuple[Item, ...]:
         if len(row) != 3:
             raise ValueError(f"line {offset}: expected 3 fields, got {len(row)}")
         item_id, group, raw_utility = (cell.strip() for cell in row)
-        if not item_id:
-            raise ValueError(f"line {offset}: empty item id")
         if item_id in seen:
             raise ValueError(f"line {offset}: duplicate item id {item_id!r}")
         try:

@@ -30,9 +30,10 @@ Each chunk is simulated in one pass over all of its users.  Every user's
 examination and click events are computed at once, the click threshold
 taken from the per-term table ``u[rankings]``.  A stable sort by term
 makes each term's users one contiguous span, in ascending user order.
-Per span, the 0/1 events times the term's position -> group one-hot give
-each user's exact integer group counts, and the span's column sums give
-the per-position counts, scattered to items with the rankings.
+Per span, one product of the 0/1 events and the term's position -> group
+one-hot gives each user's exact integer group counts, and the span's
+column sums give the per-position counts, scattered to items with the
+rankings.
 
 Summation order is part of the contract, since it decides the last bits
 of every report.  Counts are integers, so their order is free.  The
@@ -62,10 +63,6 @@ from .metrics import _utility_ratio
 __all__ = ["GroupSimulation", "SimulationReport", "simulate"]
 
 _CHUNK = 16384
-# multiply-adds in one events x one-hot product: small enough that BLAS
-# keeps it on the calling thread, where waking worker threads for every
-# product of a large span would cost more than the product
-_PRODUCT_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -226,7 +223,6 @@ def simulate(
     position_group = item_group[rankings]  # (term, position)
     group_one_hot = np.eye(n_groups, dtype=np.float32)
     pair = None if group_pair is None else [labels.index(g) for g in group_pair]
-    block_rows = max(1, _PRODUCT_SIZE // (n * n_groups))
     term_key = np.min_scalar_type(n_terms - 1)
 
     exam_counts = np.zeros(n)
@@ -265,15 +261,13 @@ def simulate(
         exam_counts += np.bincount(shown, position_counts[:, :n].ravel(), minlength=n)
         click_counts += np.bincount(shown, position_counts[:, n:].ravel(), minlength=n)
 
-        # exact group counts of every user: its 0/1 events times the term's
-        # one-hot, the span cut into products of at most _PRODUCT_SIZE
+        # exact group counts of every user: one product per term span, its
+        # users' 0/1 events times the term's position -> group one-hot
         rows = flags.reshape(2 * count, n)  # exam row, then click row, per user
         counts = np.empty((2 * count, n_groups), dtype=np.float32)
         for k, (lo, hi) in zip(present.tolist(), spans):
-            one_hot = group_one_hot[position_group[k]]  # (position, group)
-            for start in range(2 * lo, 2 * hi, block_rows):
-                stop = min(start + block_rows, 2 * hi)
-                np.matmul(rows[start:stop], one_hot, out=counts[start:stop])
+            span = slice(2 * lo, 2 * hi)
+            np.matmul(rows[span], group_one_hot[position_group[k]], out=counts[span])
 
         # x_g = count / |G| rounds like a mean over the group's positions
         stats = np.empty((n_stats, count))

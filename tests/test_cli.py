@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 import fairexposure
@@ -91,6 +95,11 @@ PROBLEM_CHANGES = {
     "missing-group": (
         lambda p: [row.pop("group") for row in p["problem"]["items"]],
         "is missing problem data ('group')",
+    ),
+    "empty-id": (lambda p: p["problem"]["items"][0].update(id=""), "empty item id"),
+    "null-bias-kind": (
+        lambda p: p["problem"]["bias"].update(kind=None),
+        "position bias kind must be a string, got None",
     ),
 }
 # Malformed lottery terms: (change to the payload, expected error).
@@ -420,19 +429,6 @@ class TestDecompose:
         assert code == 1
         assert "not valid JSON" in err
 
-    def test_decomposition_failure_exits_3(self, run, jobseeker_file, monkeypatch):
-        solution = solve_json(run, jobseeker_file)
-
-        def fail(*args, **kwargs):
-            raise RuntimeError("no perfect matching on entries above 1e-07")
-
-        monkeypatch.setattr("fairexposure.cli.decompose", fail)
-        code, out, err = run(["decompose"], stdin_text=json.dumps(solution))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: no perfect matching")
-        assert "Traceback" not in err
-
 
 @pytest.fixture
 def parity_decomposition(run, jobseeker_file):
@@ -627,6 +623,17 @@ class TestEvaluate:
         )
         best = utility(permutation_matrix(prp_ranking(problem)), problem)
         assert payload["cof"] == best - payload["dcg"]
+
+    @pytest.mark.parametrize(
+        "change", [lambda p: p.pop("problem"), lambda p: p.update(problem=None)],
+        ids=["missing", "null"],
+    )
+    def test_solution_without_problem_rejected(self, run, jobseeker_file, change):
+        solution = solve_json(run, jobseeker_file)
+        change(solution)
+        code, out, err = run(["evaluate"], stdin_text=json.dumps(solution))
+        assert (code, out) == (1, "")
+        assert err == "error: solution embeds no problem; evaluate needs its items and bias\n"
 
     def test_group_pair_flip_inverts_ratio(self, run, jobseeker_file):
         solution = solve_json(run, jobseeker_file)
@@ -1035,3 +1042,92 @@ class TestContract:
         assert "Traceback" not in err
         if out:
             strict_json(out)
+
+
+def _invoke(args, stdin_text):
+    """``main(args)`` reading ``stdin_text``: the exit code, stdout and stderr.
+
+    The ``run`` fixture does this through function-scoped fixtures, which a
+    ``@given`` test cannot take.
+    """
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+# The values a fuzz edit writes, and the commands that read each document.
+FUZZ_VALUES = (None, True, 0, -1, 0.5, 1e308, "", "a", [], {}, 2**70)
+FUZZ_COMMANDS = {
+    "solution": (["evaluate"], ["decompose"]),
+    "decomposition": (
+        ["sample", "--count", "2"],
+        ["sample", "--user", "alice"],
+        ["simulate", "--users", "10"],
+    ),
+}
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document, parents first."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        return
+    for key in keys:
+        yield path + (key,)
+        yield from _json_paths(node[key], path + (key,))
+
+
+@st.composite
+def mutated(draw, document):
+    """``document`` after 1-3 edits: drop a key or list element, or overwrite a value."""
+    document = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(list(_json_paths(document))))
+        parent = document
+        for step in parents:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(st.sampled_from(FUZZ_VALUES))
+    return document
+
+
+@pytest.fixture(scope="module")
+def parity_documents():
+    """The jobseeker parity solution and its decomposition, as parsed JSON."""
+    documents, text = {}, JOBSEEKER_CSV
+    for name, args in (
+        ("solution", ["solve", "--constraint", "demographic-parity:M,F"]),
+        ("decomposition", ["decompose"]),
+    ):
+        code, text, err = _invoke(args, text)
+        assert code == 0, err
+        documents[name] = json.loads(text)
+    return documents
+
+
+class TestContractFuzz:
+    """Randomly edited pipeline documents keep the contract of TestContract."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_edited_documents(self, parity_documents, data):
+        for source, commands in FUZZ_COMMANDS.items():
+            text = json.dumps(data.draw(mutated(parity_documents[source]), label=source))
+            for args in commands:
+                code, out, err = _invoke(args, text)
+                assert code in {0, 1, 2, 3}, (args, err)
+                assert "Traceback" not in err
+                if code != 0:
+                    assert out == "", args
+                elif args[0] != "sample":
+                    strict_json(out)

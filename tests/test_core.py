@@ -85,6 +85,11 @@ class TestPositionBias:
         with pytest.raises(ValueError, match="negative"):
             PositionBias(kind="explicit", values=np.array([1.0, -0.1]))
 
+    @pytest.mark.parametrize("kind", [None, 5, ["a"]])
+    def test_rejects_non_string_kind(self, kind):
+        with pytest.raises(ValueError, match="position bias kind must be a string"):
+            PositionBias(kind, [1.0, 0.5])
+
     def test_log_discount_rejects_zero_entry(self):
         with pytest.raises(ValueError, match="strictly positive"):
             PositionBias("log-discount", [1.0, 0.0])
@@ -140,6 +145,10 @@ class TestItem:
     def test_rejects_non_string_id_or_group(self, item_id, group):
         with pytest.raises(ValueError, match="must be strings"):
             Item(id=item_id, group=group, utility=0.5)
+
+    def test_rejects_empty_id(self):
+        with pytest.raises(ValueError, match="^empty item id$"):
+            Item(id="", group="G", utility=0.5)
 
 
 class TestRankingProblem:
@@ -208,6 +217,16 @@ class TestDoublyStochasticMatrix:
         bad = np.full((2, 2), 0.5)
         bad[0, 0] = 0.5 + 2e-3
         assert stochastic_violation(bad) == pytest.approx(2e-3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf-and-nan", "inf"])
+    def test_overflowing_line_sums_rejected(self, sign):
+        # row 0 sums in pairs to inf + -inf = NaN, column 0 to inf
+        m = np.eye(16)
+        m[[0, 2], 0] = m[0, 8] = 1e308
+        m[0, [1, 9]] = sign * 1e308
+        assert stochastic_violation(m) == float("inf")
+        with pytest.raises(ValueError, match="not doubly stochastic"):
+            DoublyStochasticMatrix(m)
 
     def test_violation_rejects_empty_matrix(self):
         with pytest.raises(ValueError, match="non-empty square matrix"):
