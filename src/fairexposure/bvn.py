@@ -23,15 +23,13 @@ on an input whose lines all exceed 1) zeroes nothing, so it is the last
 step, and what it leaves is the residual.
 
 A decomposition is the sampleable form of a probabilistic ranking: draw
-term i with probability theta_i and show its ranking.
+term i with probability theta_i and show its ranking.  ``decompose``
+builds its terms and result with the public constructors, so they pass
+the checks a lottery read from JSON passes.
 ``BvnDecomposition.term_index`` is the one inverse-CDF lookup from a
 fraction in [0, 1] to a term, used by the sampler and the simulator; its
 caches (the cumulative weights as Python floats, and a guide table) live
 on the decomposition and are read nowhere else.
-
-``decompose`` returns its result through the public ``BvnDecomposition``
-constructor, with every check; only its terms skip the public ``BvnTerm``
-checks, for the cost given in ``BvnTerm._trusted``.
 """
 
 from __future__ import annotations
@@ -81,21 +79,9 @@ class BvnTerm:
         if not (_is_number(self.theta) and 0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must be a number in (0, 1], got {self.theta!r}")
         r = as_ranking(self.ranking)
-        r.flags.writeable = False
+        r.setflags(write=False)  # half the cost of flags.writeable, once per term
         object.__setattr__(self, "ranking", r)
         object.__setattr__(self, "theta", float(self.theta))
-
-    @classmethod
-    def _trusted(cls, theta: float, ranking: np.ndarray) -> "BvnTerm":
-        """A term from a read-only int permutation ``decompose`` found, unchecked.
-
-        ``decompose`` builds every term here: the public checks (``as_ranking``
-        sorting each ranking) would cost about a fifth of a dense decomposition.
-        """
-        term = object.__new__(cls)
-        object.__setattr__(term, "theta", theta)
-        object.__setattr__(term, "ranking", ranking)
-        return term
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +202,11 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
 
     flat = m.ravel()  # a view, since m is C-ordered whatever the input
     lines = np.empty(2 * n)  # row sums, then column sums
-    cols = np.arange(n)
+    cols = np.arange(n)  # intp: an int32 index would cost a cast per gather
     row_starts = np.arange(0, n * n + 1, n)
+    # int32, the index type the compiled matcher takes
+    col_of = np.tile(np.arange(n, dtype=np.int32), n)  # column of each flat index
+    edges = np.ones(n * n, dtype=bool)  # each step's edge data is a prefix
     # one graph for every step: only its index arrays change
     graph = csr_array((n, n), dtype=bool)
     thetas: list[float] = []
@@ -225,10 +214,11 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
     # n^2 * cut <= 1/2: the entries below the cut hold under half a line
     cut = min(_MATCHING_TOLERANCE, 0.5 / n**2)
     capped = False
+    # the ufuncs' own reduce skips the ndarray.sum/min/max wrappers
     while True:
-        m.sum(axis=1, out=lines[:n])
-        m.sum(axis=0, out=lines[n:])
-        smallest, largest = float(lines.min()), float(lines.max())
+        np.add.reduce(m, axis=1, out=lines[:n])
+        np.add.reduce(m, axis=0, out=lines[n:])
+        smallest, largest = float(np.minimum.reduce(lines)), float(np.maximum.reduce(lines))
         # a capped step zeroes no entry, so the support argument in the
         # module docstring no longer bounds the steps after it
         if capped or smallest < _MATCHING_TOLERANCE:
@@ -236,33 +226,29 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
         # Hall's condition survives the cut on an exact input; an input off
         # by up to TOLERANCE may run out of matchings (see _residual_bound)
         keep = (flat > cut * largest).nonzero()[0]  # row-major flat indices
-        # int32, the index type the compiled matcher takes
-        graph.indices = (keep % n).astype(np.int32)
-        graph.indptr = np.searchsorted(keep, row_starts).astype(np.int32)
-        graph.data = np.ones(keep.size, dtype=bool)
+        graph.indices = col_of[keep]
+        graph.indptr = keep.searchsorted(row_starts).astype(np.int32)
+        graph.data = edges[: keep.size]
         # scipy's compiled Hopcroft-Karp: no recursion, so any n works;
         # which perfect matching it returns is up to the matcher
         row_of_col = maximum_bipartite_matching(graph, perm_type="row")
-        if row_of_col.min() < 0:
+        if np.minimum.reduce(row_of_col) < 0:
             break
         at = row_of_col * n + cols
-        low = float(flat[at].min())
+        matched = flat[at]
+        low = float(np.minimum.reduce(matched))
         # with negative entries, matched entries can outweigh their lines
         theta = min(low, smallest, 1.0)
-        flat[at] -= theta
+        flat[at] = matched - theta
         thetas.append(theta)
         rankings.append(row_of_col)
         capped = theta < low
-    residual = max(largest, 0.0)
 
-    # every matching is a permutation, so the terms skip the public
-    # per-term checks (BvnTerm._trusted)
-    table = np.array(rankings, dtype=int)
-    table.flags.writeable = False
     # weight descending, then ranking ascending, lexicographically
-    order = np.lexsort(tuple(table.T[::-1]) + (-np.array(thetas),))
-    terms = tuple(BvnTerm._trusted(thetas[k], table[k]) for k in order.tolist())
-    return BvnDecomposition(terms, residual)
+    order = np.lexsort(tuple(np.array(rankings).T[::-1]) + (-np.array(thetas),))
+    # the public checks, and the copy of each int32 matching to an int ranking
+    terms = tuple(BvnTerm(thetas[k], rankings[k]) for k in order.tolist())
+    return BvnDecomposition(terms, max(largest, 0.0))  # the residual
 
 
 def reconstruct(decomposition: BvnDecomposition) -> np.ndarray:

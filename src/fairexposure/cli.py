@@ -77,12 +77,23 @@ def _read_problem(args: argparse.Namespace) -> RankingProblem:
 def _load_json(path: str, what: str) -> dict:
     text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        return _object(json.loads(text), what)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
+
+
+def _object(value, what: str) -> dict:
+    """``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object")
-    return payload
+    return value
+
+
+def _objects(value, what: str) -> list:
+    """``value``, which must be a JSON list of JSON objects."""
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise ValueError(f"{what} must be a JSON list of objects")
+    return value
 
 
 def _parse_bias(flag: str, n: int) -> PositionBias:
@@ -140,16 +151,20 @@ def _problem_to_json(problem: RankingProblem) -> dict:
     }
 
 
-def _problem_from_json(payload: dict, what: str, n: int) -> RankingProblem:
-    """The problem ``payload`` embeds, which must list the ``n`` items it ranks."""
+def _problem_from_json(payload: dict, what: str, n: int) -> Optional[RankingProblem]:
+    """The problem ``payload`` embeds, listing the ``n`` items it ranks; None if none."""
+    if payload.get("problem") is None:
+        return None
     try:
-        rows, bias = payload["problem"]["items"], payload["problem"]["bias"]
+        problem = _object(payload["problem"], f"{what} problem")
+        rows = _objects(problem["items"], f"{what} problem items")
+        bias = _object(problem["bias"], f"{what} problem bias")
         # the count first, so that a short list is not blamed on the bias
         if len(rows) != n:
             raise ValueError(f"{what} ranks {n} items, its problem lists {len(rows)}")
         items = tuple(Item(row["id"], row["group"], row["utility"]) for row in rows)
         position_bias = PositionBias(bias["kind"], bias["values"])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"{what} is missing problem data ({exc})") from None
     return RankingProblem(items=items, position_bias=position_bias)
 
@@ -175,12 +190,11 @@ def _read_lottery(path: str) -> tuple[BvnDecomposition, Optional[RankingProblem]
     """A decomposition and the problem it embeds, None when it embeds none."""
     payload = _load_json(path, "decomposition")
     try:
-        terms = tuple(BvnTerm(term["theta"], term["ranking"]) for term in payload["terms"])
-    except (KeyError, TypeError) as exc:
+        rows = _objects(payload["terms"], "decomposition terms")
+        terms = tuple(BvnTerm(term["theta"], term["ranking"]) for term in rows)
+    except KeyError as exc:
         raise ValueError(f"decomposition is missing decomposition terms ({exc})") from None
     decomposition = BvnDecomposition(terms, payload.get("residual", 0.0))
-    if payload.get("problem") is None:
-        return decomposition, None
     return decomposition, _problem_from_json(payload, "decomposition", decomposition.n)
 
 
@@ -260,9 +274,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     matrix, payload = _read_solution(args.input, "decompose")
-    if payload.get("problem") is not None:
-        # checked as the later commands will read it, then echoed as given
-        _problem_from_json(payload, "solution", matrix.n)
+    # checked as the later commands will read it, then echoed as given
+    _problem_from_json(payload, "solution", matrix.n)
     decomposition = decompose(matrix)
     _print_json(
         {
@@ -298,9 +311,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     matrix, payload = _read_solution(args.input, "evaluate")
-    if payload.get("problem") is None:
-        raise ValueError("solution embeds no problem; evaluate needs its items and bias")
     problem = _problem_from_json(payload, "solution", matrix.n)
+    if problem is None:
+        raise ValueError("solution embeds no problem; evaluate needs its items and bias")
     reference = permutation_matrix(prp_ranking(problem)) if args.against_optimal else None
     report = evaluate(matrix, problem, group_pair=args.group_pair, reference=reference)
     result = report.to_dict()

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MatrixLike, RankingProblem, as_matrix
+from .core import MatrixLike, RankingProblem, _as_reals, _is_number, as_matrix
 
 __all__ = [
     "FairnessConstraint",
@@ -40,17 +40,17 @@ class FairnessConstraint:
     label: str = field(default="", kw_only=True)
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.f, dtype=float)
-        g = np.asarray(self.g, dtype=float)
+        f = _as_reals(self.f, "constraint f")
+        g = _as_reals(self.g, "constraint g")
         if f.ndim != 1 or g.ndim != 1 or f.size != g.size:
             raise ValueError(
                 f"f and g must be vectors of equal length, got {f.shape} and {g.shape}"
             )
+        if not _is_number(self.h):
+            raise ValueError(f"constraint h must be a number, got {self.h!r}")
         h = float(self.h)
         if not (np.isfinite(f).all() and np.isfinite(g).all() and np.isfinite(h)):
             raise ValueError(f"constraint {self.label!r} has a non-finite f, g or h")
-        f = f.copy()
-        g = g.copy()
         f.flags.writeable = False
         g.flags.writeable = False
         object.__setattr__(self, "f", f)

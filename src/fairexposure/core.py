@@ -299,14 +299,17 @@ def _as_reals(values, what: str) -> np.ndarray:
 def as_ranking(ranking: Sequence[int]) -> np.ndarray:
     """``ranking`` as a new int array, checked to permute 0..n-1.
 
-    Entries must already be integers: a float or bool is an error, never
-    truncated to an index.
+    Entries must already be integers: a float, a bool or a list among the
+    entries is an error, never truncated or read as an index.
     """
-    r = np.asarray(ranking)
+    try:
+        r = np.asarray(ranking)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"ranking entries must be integers, got {ranking!r}") from None
     if r.dtype.kind not in "iu":
         raise ValueError(f"ranking entries must be integers, got {r.tolist()}")
     r = r.astype(int)
-    if r.ndim != 1 or not (np.sort(r) == np.arange(r.size)).all():
+    if r.ndim != 1 or sorted(r.tolist()) != list(range(r.size)):
         raise ValueError(f"not a permutation of 0..{r.size - 1}: {r.tolist()}")
     return r
 
@@ -329,13 +332,9 @@ def prp_ranking(problem: RankingProblem) -> np.ndarray:
     return np.argsort(-problem.utilities, kind="stable")
 
 
-def _check_dimensions(P: np.ndarray, n: int) -> None:
-    if P.shape != (n, n):
-        raise ValueError(f"matrix shape {P.shape} does not match problem size {n}")
-
-
 def utility(P: MatrixLike, problem: RankingProblem) -> float:
     """Expected utility ``u @ P @ v`` of the probabilistic ranking ``P``."""
     m = as_matrix(P)
-    _check_dimensions(m, problem.n)
+    if m.shape != (problem.n, problem.n):
+        raise ValueError(f"matrix shape {m.shape} does not match problem size {problem.n}")
     return float(problem.utilities @ m @ problem.bias)

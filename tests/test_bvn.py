@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairexposure import bvn
 from fairexposure.bvn import (
     BvnDecomposition,
     BvnTerm,
@@ -18,7 +19,7 @@ from fairexposure.bvn import (
     term_bound,
 )
 from fairexposure.constraints import NOTIONS, demographic_parity
-from fairexposure.core import TOLERANCE, DoublyStochasticMatrix, permutation_matrix
+from fairexposure.core import TOLERANCE, DoublyStochasticMatrix, as_ranking, permutation_matrix
 from fairexposure.lp import solve_problem
 from fairexposure.metrics import evaluate
 from fairexposure.simulator import simulate
@@ -80,7 +81,7 @@ class TestBvnTerm:
         term = BvnTerm(theta=theta, ranking=[0, 1])
         assert type(term.theta) is float and term.theta == 1.0
 
-    @pytest.mark.parametrize("ranking", [[0.7, 1.2], [1.0, 0.0], [True, False]])
+    @pytest.mark.parametrize("ranking", [[0.7, 1.2], [1.0, 0.0], [True, False], [0, [1]]])
     def test_rejects_non_integer_ranking(self, ranking):
         with pytest.raises(ValueError, match="must be integers"):
             BvnTerm(theta=0.5, ranking=ranking)
@@ -402,6 +403,17 @@ class TestDenseLotteryPin:
         result = decompose(dense_mixture(n, seed))
         assert len(result.terms) == terms
         assert lottery_digest(result) == digest
+
+    def test_every_term_takes_the_public_checks(self, monkeypatch):
+        calls = []
+
+        def counted(ranking):
+            calls.append(ranking)
+            return as_ranking(ranking)
+
+        monkeypatch.setattr(bvn, "as_ranking", counted)
+        result = decompose(dense_mixture(10, 0))
+        assert len(calls) == len(result.terms) == 82
 
     def test_terms_hold_read_only_int_rankings(self):
         result = decompose(dense_mixture(10, 0))

@@ -101,6 +101,13 @@ PROBLEM_CHANGES = {
         lambda p: p["problem"]["bias"].update(kind=None),
         "position bias kind must be a string, got None",
     ),
+    "number-problem": (lambda p: p.update(problem=0), "problem must be a JSON object"),
+    "string-problem": (lambda p: p.update(problem="x"), "problem must be a JSON object"),
+    "number-items": (
+        lambda p: p["problem"].update(items=5),
+        "problem items must be a JSON list of objects",
+    ),
+    "string-bias": (lambda p: p["problem"].update(bias="x"), "problem bias must be a JSON object"),
 }
 # Malformed lottery terms: (change to the payload, expected error).
 TERM_CHANGES = {
@@ -111,7 +118,17 @@ TERM_CHANGES = {
     "boolean-theta": (lambda p: p["terms"][0].update(theta=True), "theta must be a number"),
     "string-residual": (lambda p: p.update(residual="0"), "residual must be a number"),
     "boolean-residual": (lambda p: p.update(residual=False), "residual must be a number"),
+    "number-term": (
+        lambda p: p.update(terms=[5]),
+        "decomposition terms must be a JSON list of objects",
+    ),
+    "ragged-ranking": (
+        lambda p: p["terms"][0].update(ranking=[0, 1, [], 3, 4, 5]),
+        "ranking entries must be integers, got [0, 1, [], 3, 4, 5]",
+    ),
 }
+# Python's and numpy's own wording, which no error message may pass on
+FOREIGN_TEXT = ("not subscriptable", "has no len()", "inhomogeneous shape")
 LOTTERY_COMMANDS = {
     "sample-count": ["sample", "--count", "2"],
     "sample-user": ["sample", "--user", "alice"],
@@ -883,6 +900,7 @@ class TestEmbeddedValues:
             code, out, err = run(args, stdin_text=json.dumps(payload))
             assert (code, out) == (1, ""), args
             assert message in err and "Traceback" not in err
+            assert not any(text in err for text in FOREIGN_TEXT)
 
     @pytest.mark.parametrize("change, message", TERM_CHANGES.values(), ids=TERM_CHANGES)
     @pytest.mark.parametrize("args", LOTTERY_COMMANDS.values(), ids=LOTTERY_COMMANDS)
@@ -892,6 +910,7 @@ class TestEmbeddedValues:
         code, out, err = run(args, stdin_text=json.dumps(payload))
         assert (code, out) == (1, "")
         assert message in err and "Traceback" not in err
+        assert not any(text in err for text in FOREIGN_TEXT)
 
 
 class TestPipelineComposition:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,22 @@ class TestFairnessConstraint:
     def test_rejects_non_finite(self, f, g, h):
         with pytest.raises(ValueError, match="non-finite"):
             FairnessConstraint(np.array(f), np.array(g), h, label="c")
+
+    @pytest.mark.parametrize(
+        "f, g, h, message",
+        [
+            (["1", "-1"], np.ones(2), 0.0, "constraint f entries must be numbers"),
+            ([True, False], [1, 1], 0.0, "constraint f entries must be numbers"),
+            ([1, [2]], [1, 1], 0.0, "constraint f entries must be numbers"),
+            ([1, 1], np.array([True, False]), 0.0, "constraint g entries must be numbers"),
+            (np.ones(2), np.ones(2), "0", "constraint h must be a number, got '0'"),
+            ([1, 1], [1, 1], True, "constraint h must be a number, got True"),
+        ],
+        ids=["string-f", "boolean-f", "ragged-f", "boolean-g", "string-h", "boolean-h"],
+    )
+    def test_number_rule(self, f, g, h, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FairnessConstraint(f, g, h)
 
     def test_vectors_read_only(self):
         c = demographic_parity(make_problem(), "M", "F")
