@@ -19,7 +19,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -243,13 +242,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
 
     entries = report.matrix.entries
-    if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("item", "rank", "probability"))
-            for item, row in zip(problem.items, entries.tolist()):
-                writer.writerows((item.id, j, p) for j, p in enumerate(row, 1))
-
     _print_json(
         {
             "status": report.status,
@@ -384,11 +376,6 @@ def _build_parser() -> _Parser:
         help=f"fairness constraint; repeatable; notions: {', '.join(sorted(NOTIONS))}",
     )
     cmd["solve"].add_argument("--dump-lp", metavar="FILE", help="write the LP in text form")
-    cmd["solve"].add_argument(
-        "--emit-plot-data",
-        metavar="FILE",
-        help="write item,rank,probability triples for heatmap tools",
-    )
 
     pick = cmd["sample"].add_mutually_exclusive_group(required=True)
     pick.add_argument("--user", help="deterministic per-user draw from a stable key")

@@ -307,11 +307,14 @@ def as_ranking(ranking: Sequence[int]) -> np.ndarray:
     except ValueError:  # numpy's "inhomogeneous shape"
         raise ValueError(f"ranking entries must be integers, got {ranking!r}") from None
     if r.dtype.kind not in "iu":
+        # integers that numpy holds as objects or floats lie beyond 64 bits
+        if r.ndim == 1 and r.size and all(_is_int(x) for x in ranking):
+            raise ValueError(f"not a permutation of 0..{r.size - 1}: {list(ranking)}")
         raise ValueError(f"ranking entries must be integers, got {r.tolist()}")
-    r = r.astype(int)
+    # checked before the cast, which would wrap a uint64 entry past 2**63
     if r.ndim != 1 or sorted(r.tolist()) != list(range(r.size)):
         raise ValueError(f"not a permutation of 0..{r.size - 1}: {r.tolist()}")
-    return r
+    return r.astype(int)
 
 
 def permutation_matrix(ranking: Sequence[int]) -> np.ndarray:

@@ -8,10 +8,10 @@ strings.  Two fixtures ship with the package in ``fairexposure/data/``:
   0.82 down to 0.77; small enough to verify every number by hand.
 * ``synthetic_news.csv`` — twenty-five articles in groups of 15 and 10 with
   utilities drawn as ``rating/5`` plus Gaussian noise (sigma 0.05) clipped
-  to [0, 1], generated from the frozen seed :data:`NEWS_SEED`.
+  to [0, 1], from ``numpy.random.default_rng(11)``.
 
-Both files are byte-for-byte reproducible from :func:`jobseeker_items` and
-:func:`synthetic_news_items` via :func:`write_items_csv`.
+``tests/test_datasets.py`` holds each fixture's recipe and checks that
+:func:`write_items_csv` of it reproduces the shipped file byte for byte.
 """
 
 from __future__ import annotations
@@ -22,24 +22,16 @@ from importlib import resources
 from os import PathLike
 from typing import IO, Iterable, Union
 
-import numpy as np
-
 from .core import Item
 
 __all__ = [
-    "jobseeker_items",
     "load_jobseeker",
     "load_synthetic_news",
     "read_items_csv",
-    "synthetic_news_items",
     "write_items_csv",
 ]
 
 CSV_HEADER = ("id", "group", "utility")
-
-#: Seed for the bundled synthetic news fixture.  Frozen so that the shipped
-#: CSV, the generator, and every test agree on the same twenty-five items.
-NEWS_SEED = 11
 
 Source = Union[str, PathLike, IO[str]]
 
@@ -110,37 +102,6 @@ def write_items_csv(items: Iterable[Item], destination: Source) -> None:
     else:
         with open(destination, "w", encoding="utf-8", newline="") as handle:
             _write(handle)
-
-
-def jobseeker_items() -> tuple[Item, ...]:
-    """The six-candidate example: groups M/F of three, utilities 0.82..0.77."""
-    utilities = (0.82, 0.81, 0.80, 0.79, 0.78, 0.77)
-    ids = ("m1", "m2", "m3", "f1", "f2", "f3")
-    groups = ("M", "M", "M", "F", "F", "F")
-    return tuple(
-        Item(id=i, group=g, utility=u) for i, g, u in zip(ids, groups, utilities)
-    )
-
-
-def synthetic_news_items(seed: int = NEWS_SEED) -> tuple[Item, ...]:
-    """Twenty-five synthetic articles: 15 in group "A", 10 in group "B".
-
-    Each item draws an integer rating in 1..5, scales it to [0.2, 1.0], adds
-    Gaussian noise with standard deviation 0.05, and clips to [0, 1].  With
-    the default seed this reproduces the bundled ``synthetic_news.csv``.
-    """
-    rng = np.random.default_rng(seed)
-    ratings = rng.integers(1, 6, size=25)
-    noise = rng.normal(0.0, 0.05, size=25)
-    utilities = np.clip(ratings / 5.0 + noise, 0.0, 1.0)
-    return tuple(
-        Item(
-            id=f"n{index + 1:02d}",
-            group="A" if index < 15 else "B",
-            utility=float(utilities[index]),
-        )
-        for index in range(25)
-    )
 
 
 def _load_bundled(filename: str) -> tuple[Item, ...]:

@@ -77,8 +77,6 @@ class SolveReport:
     other solver outcome.  ``matrix`` and ``objective`` are set only when
     optimal.  ``max_violation`` is the certified residual
     ``max(stochastic_violation(P), c.residual(P) for c in constraints)``.
-    ``constraint_labels`` lists the fairness constraints in the order they
-    were passed, which is the violated set when status is "infeasible".
     """
 
     status: str
@@ -86,7 +84,6 @@ class SolveReport:
     objective: Optional[float]
     max_violation: Optional[float]
     iterations: int
-    constraint_labels: tuple[str, ...] = ()
 
     @property
     def optimal(self) -> bool:
@@ -143,10 +140,9 @@ def solve(lp: LinearProgram) -> SolveReport:
     rows, rhs = _rows(lp)
     result = linprog(-lp.objective, A_eq=rows, b_eq=rhs, bounds=(0.0, 1.0), method="highs")
     iterations = int(getattr(result, "nit", 0) or 0)
-    labels = tuple(c.label for c in lp.constraints)
 
     if result.status == 2:
-        return SolveReport("infeasible", None, None, None, iterations, labels)
+        return SolveReport("infeasible", None, None, None, iterations)
     if result.status != 0:
         raise NumericalFailure(
             f"solver stopped without an optimum (status {result.status}): {result.message}"
@@ -163,7 +159,7 @@ def solve(lp: LinearProgram) -> SolveReport:
 
     matrix = DoublyStochasticMatrix(entries=entries)
     objective = float(lp.objective @ x)
-    return SolveReport("optimal", matrix, objective, worst, iterations, labels)
+    return SolveReport("optimal", matrix, objective, worst, iterations)
 
 
 def solve_problem(

@@ -62,9 +62,15 @@ def hash_user_key(key: Union[str, bytes, bytearray]) -> int:
 def sample_indices(
     decomposition: BvnDecomposition, count: int, rng: RngLike = None
 ) -> np.ndarray:
-    """Draw ``count`` term indices from one stream (vectorized)."""
+    """Draw ``count`` term indices from one stream (vectorized).
+
+    ``rng`` is a ``Generator``, ``None`` (fresh entropy) or a seed, an
+    integer of at least 0 under the one integer rule.
+    """
     if not _is_int(count) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    if not (rng is None or isinstance(rng, np.random.Generator) or (_is_int(rng) and rng >= 0)):
+        raise ValueError(f"seed must be a non-negative integer, got {rng!r}")
     return decomposition.term_index(np.random.default_rng(rng).random(count))
 
 

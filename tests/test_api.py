@@ -41,7 +41,6 @@ PUBLIC = [
     "dump_lp",
     "evaluate",
     "hash_user_key",
-    "jobseeker_items",
     "load_jobseeker",
     "load_synthetic_news",
     "multi_group_constraints",
@@ -55,7 +54,6 @@ PUBLIC = [
     "solve",
     "solve_problem",
     "stochastic_violation",
-    "synthetic_news_items",
     "term_bound",
     "utility",
     "write_items_csv",
@@ -67,7 +65,7 @@ MODULES = ["fairexposure"] + [
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 42
     assert sorted(fairexposure.__all__) == PUBLIC
 
 

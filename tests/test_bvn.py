@@ -86,6 +86,20 @@ class TestBvnTerm:
         with pytest.raises(ValueError, match="must be integers"):
             BvnTerm(theta=0.5, ranking=ranking)
 
+    @pytest.mark.parametrize(
+        "ranking, shown",
+        [
+            ([0, 2**70], "[0, 1180591620717411303424]"),  # numpy holds it as an object
+            ([0, 2**63], "[0, 9223372036854775808]"),  # numpy holds it as a float
+            (np.array([0, 2**63], dtype=np.uint64), "[0, 9223372036854775808]"),
+        ],
+        ids=["beyond-uint64", "beyond-int64", "uint64-array"],
+    )
+    def test_out_of_range_ranking_is_not_a_permutation(self, ranking, shown):
+        with pytest.raises(ValueError) as excinfo:
+            BvnTerm(theta=0.5, ranking=ranking)
+        assert str(excinfo.value) == f"not a permutation of 0..1: {shown}"
+
     def test_accepts_unsigned_ranking(self):
         term = BvnTerm(theta=1.0, ranking=np.array([1, 0], dtype=np.uint8))
         np.testing.assert_array_equal(term.ranking, [1, 0])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import csv
 import hashlib
 import io
 import json
@@ -125,6 +124,15 @@ TERM_CHANGES = {
     "ragged-ranking": (
         lambda p: p["terms"][0].update(ranking=[0, 1, [], 3, 4, 5]),
         "ranking entries must be integers, got [0, 1, [], 3, 4, 5]",
+    ),
+    # numpy holds 2**63 as a float and 2**70 as an object, never as an integer
+    "beyond-int64-ranking": (
+        lambda p: p["terms"][0].update(ranking=[0, 1, 2, 3, 4, 2**63]),
+        "not a permutation of 0..5: [0, 1, 2, 3, 4, 9223372036854775808]",
+    ),
+    "beyond-uint64-ranking": (
+        lambda p: p["terms"][0].update(ranking=[0, 1, 2, 3, 4, 2**70]),
+        "not a permutation of 0..5: [0, 1, 2, 3, 4, 1180591620717411303424]",
     ),
 }
 # Python's and numpy's own wording, which no error message may pass on
@@ -320,43 +328,13 @@ class TestSolve:
         assert code == 1
         assert "error" in err
 
-    def test_dump_lp_and_plot_data(self, run, jobseeker_file, tmp_path):
+    def test_dump_lp(self, run, jobseeker_file, tmp_path):
         lp_path = tmp_path / "model.lp"
-        plot_path = tmp_path / "plot.csv"
-        code, _, _ = run(
-            [
-                "solve",
-                jobseeker_file,
-                "--dump-lp",
-                str(lp_path),
-                "--emit-plot-data",
-                str(plot_path),
-            ]
-        )
+        code, _, _ = run(["solve", jobseeker_file, "--dump-lp", str(lp_path)])
         assert code == 0
         text = lp_path.read_text(encoding="utf-8")
         assert text.startswith("Maximize")
         assert "row_sum_0" in text and "col_sum_5" in text
-        lines = plot_path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "item,rank,probability"
-        assert len(lines) == 1 + 36
-        item, rank, probability = lines[1].split(",")
-        assert item == "m1" and rank == "1"
-        float(probability)
-
-    def test_plot_data_quotes_ids(self, run, tmp_path):
-        plot_path = tmp_path / "plot.csv"
-        code, _, err = run(
-            ["solve", "--emit-plot-data", str(plot_path)],
-            stdin_text='id,group,utility\n"a,1",A,0.9\n"b ""x""",B,0.5\n',
-        )
-        assert code == 0, err
-        with open(plot_path, encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["item", "rank", "probability"]
-        assert [row[:2] for row in rows[1:]] == [
-            ["a,1", "1"], ["a,1", "2"], ['b "x"', "1"], ['b "x"', "2"]
-        ]
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -564,6 +542,14 @@ class TestSample:
         assert code == 1
         assert out == ""
         assert "ranking entries must be integers" in err
+
+    def test_negative_seed_rejected(self, run, parity_decomposition):
+        code, out, err = run(
+            ["sample", "--count", "10", "--seed", "-1"], stdin_text=parity_decomposition
+        )
+        assert code == 1
+        assert out == ""
+        assert "seed must be a non-negative integer, got -1" in err
 
     @pytest.mark.parametrize("row", [{"group": "M", "utility": 0.5}, "m1"])
     def test_items_without_ids_is_usage_error(self, run, parity_decomposition, row):

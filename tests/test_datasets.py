@@ -3,21 +3,53 @@
 from __future__ import annotations
 
 import io
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from fairexposure.core import PositionBias, RankingProblem, utility
+from fairexposure.core import Item, PositionBias, RankingProblem, utility
 from fairexposure.datasets import (
-    NEWS_SEED,
-    jobseeker_items,
     load_jobseeker,
     load_synthetic_news,
     read_items_csv,
-    synthetic_news_items,
     write_items_csv,
 )
 from fairexposure.lp import solve_problem
+
+
+def jobseeker_recipe() -> tuple[Item, ...]:
+    """Six candidates, groups M/F of three, utilities 0.82 down to 0.77."""
+    ids = ("m1", "m2", "m3", "f1", "f2", "f3")
+    groups = ("M", "M", "M", "F", "F", "F")
+    utilities = (0.82, 0.81, 0.80, 0.79, 0.78, 0.77)
+    return tuple(Item(id=i, group=g, utility=u) for i, g, u in zip(ids, groups, utilities))
+
+
+def news_recipe() -> tuple[Item, ...]:
+    """Twenty-five articles n01..n25, the first 15 in group A, the rest in B.
+
+    Each draws an integer rating in 1..5 from seed 11, scales it to
+    [0.2, 1.0], adds Gaussian noise (sigma 0.05) and clips to [0, 1].
+    """
+    rng = np.random.default_rng(11)
+    ratings = rng.integers(1, 6, size=25)
+    noise = rng.normal(0.0, 0.05, size=25)
+    utilities = np.clip(ratings / 5.0 + noise, 0.0, 1.0)
+    return tuple(
+        Item(id=f"n{k + 1:02d}", group="A" if k < 15 else "B", utility=float(u))
+        for k, u in enumerate(utilities)
+    )
+
+
+def csv_bytes(items) -> bytes:
+    buffer = io.StringIO()
+    write_items_csv(items, buffer)
+    return buffer.getvalue().encode("utf-8")
+
+
+def shipped_bytes(filename: str) -> bytes:
+    return resources.files("fairexposure").joinpath("data", filename).read_bytes()
 
 
 class TestReadItemsCsv:
@@ -93,14 +125,14 @@ class TestReadItemsCsv:
 
 class TestWriteItemsCsv:
     def test_round_trips_exactly(self, tmp_path):
-        items = synthetic_news_items()
+        items = load_synthetic_news()
         path = tmp_path / "out.csv"
         write_items_csv(items, path)
         assert read_items_csv(path) == items
 
     def test_stream_output(self):
         buffer = io.StringIO()
-        write_items_csv(jobseeker_items(), buffer)
+        write_items_csv(load_jobseeker(), buffer)
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "id,group,utility"
         assert lines[1] == "m1,M,0.82"
@@ -109,15 +141,14 @@ class TestWriteItemsCsv:
 
 class TestJobseekerFixture:
     def test_generator_values(self):
-        items = jobseeker_items()
+        items = load_jobseeker()
         assert [it.id for it in items] == ["m1", "m2", "m3", "f1", "f2", "f3"]
         assert [it.group for it in items] == ["M", "M", "M", "F", "F", "F"]
-        np.testing.assert_allclose(
-            [it.utility for it in items], [0.82, 0.81, 0.80, 0.79, 0.78, 0.77]
-        )
+        assert [it.utility for it in items] == [0.82, 0.81, 0.80, 0.79, 0.78, 0.77]
+        assert items == jobseeker_recipe()
 
     def test_bundled_csv_matches_generator(self):
-        assert load_jobseeker() == jobseeker_items()
+        assert csv_bytes(jobseeker_recipe()) == shipped_bytes("jobseeker.csv")
 
     def test_reproduces_known_objective(self):
         problem = RankingProblem(
@@ -129,7 +160,7 @@ class TestJobseekerFixture:
 
 class TestSyntheticNewsFixture:
     def test_shape_and_groups(self):
-        items = synthetic_news_items()
+        items = load_synthetic_news()
         assert len(items) == 25
         assert [it.group for it in items].count("A") == 15
         assert [it.group for it in items].count("B") == 10
@@ -137,19 +168,10 @@ class TestSyntheticNewsFixture:
         assert all(0.0 <= it.utility <= 1.0 for it in items)
 
     def test_bundled_csv_matches_generator(self):
-        assert load_synthetic_news() == synthetic_news_items()
-
-    def test_generator_is_seed_deterministic(self):
-        assert synthetic_news_items(NEWS_SEED) == synthetic_news_items(NEWS_SEED)
-        assert synthetic_news_items(0) != synthetic_news_items(1)
+        assert csv_bytes(news_recipe()) == shipped_bytes("synthetic_news.csv")
 
     def test_matches_documented_recipe(self):
-        rng = np.random.default_rng(NEWS_SEED)
-        ratings = rng.integers(1, 6, size=25)
-        noise = rng.normal(0.0, 0.05, size=25)
-        expected = np.clip(ratings / 5.0 + noise, 0.0, 1.0)
-        actual = [it.utility for it in synthetic_news_items()]
-        np.testing.assert_allclose(actual, expected, rtol=0, atol=0)
+        assert load_synthetic_news() == news_recipe()
 
     def test_prp_utility_positive(self):
         items = load_synthetic_news()

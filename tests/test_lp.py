@@ -20,6 +20,7 @@ from fairexposure.constraints import (
     multi_group_constraints,
 )
 from fairexposure.core import (
+    TOLERANCE,
     PositionBias,
     RankingProblem,
     permutation_matrix,
@@ -205,7 +206,6 @@ class TestSolve:
         report = solve_problem(problem, [disparate_treatment(problem, "M", "F")])
         assert report.status == "infeasible"
         assert report.matrix is None
-        assert any("disparate-treatment" in lbl for lbl in report.constraint_labels)
 
     def test_other_solver_status_raises(self, monkeypatch):
         # HiGHS status 3 (unbounded) cannot occur with every variable in [0, 1]
@@ -233,7 +233,7 @@ class TestSolve:
         ]
         report = solve_problem(problem, constraints)
         assert report.status == "optimal"
-        assert report.constraint_labels == ("first", eq.label, "last")
+        assert all(c.residual(report.matrix) <= TOLERANCE for c in constraints)
 
     def test_solve_memory_grows_with_fairness_rows_only(self):
         # a dense 2N x N² block of stochasticity rows alone would take 3.3 MB

@@ -6,7 +6,8 @@ permutation matrices, so maximising ``u·P·v`` over P subject to
 ``θ >= 0`` with ``Σ θ_k = 1`` and ``Σ θ_k f·g[inv_k] = h`` per constraint,
 where ``inv_k[i]`` is the position ranking k gives item i.  That program
 shares no code with ``build_lp``, ``solve`` or ``check_feasibility``, so it
-checks all three.
+checks all three.  Past the oracle's reach, at N = 20..80, the layers are
+checked against each other instead.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from fairexposure.bvn import decompose, reconstruct
+from fairexposure.bvn import _residual_bound, decompose, reconstruct
 from fairexposure.constraints import NOTIONS, FairnessConstraint, multi_group_constraints
 from fairexposure.core import PositionBias, RankingProblem, utility
 from fairexposure.feasibility import check_feasibility
 from fairexposure.lp import solve_problem
+from fairexposure.metrics import evaluate
 
 from .test_core import make_problem
 
@@ -72,6 +74,51 @@ def chain_instances(draw):
     )
     chain = draw(st.permutations(CHAIN[:k]))
     return draw(st.sampled_from(sorted(NOTIONS))), chain, problem
+
+
+@st.composite
+def scaled_chain_instances(draw):
+    """A notion, a chain of 3 or 4 groups in random order, and a problem of
+    20 to 80 items: the first items seed each chain group, the rest belong
+    to the chain or to a filler group Y, each group scales its uniform
+    utilities by its own factor in [0.2, 1] so that treatment is sometimes
+    out of reach, and the bias is log or dcg@k."""
+    k = draw(st.integers(3, 4))
+    n = draw(st.integers(20, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = list(CHAIN[:k]) + rng.choice(CHAIN[:k] + ("Y",), size=n - k).tolist()
+    scale = dict(zip(CHAIN + ("Y",), rng.uniform(0.2, 1.0, size=5)))
+    utilities = np.array([scale[g] for g in labels]) * rng.uniform(0.01, 1.0, size=n)
+    order = rng.permutation(n)
+    if draw(st.booleans()):
+        bias = PositionBias.dcg_at_k(n, k=draw(st.integers(1, n)))
+    else:
+        bias = PositionBias.log_discount(n)
+    problem = make_problem(
+        utilities=tuple(utilities.round(3)[order]),
+        groups=tuple(labels[i] for i in order),
+        bias=bias,
+    )
+    chain = draw(st.permutations(CHAIN[:k]))
+    return draw(st.sampled_from(sorted(NOTIONS))), chain, problem
+
+
+class TestChainsAtScale:
+    # 50 examples, 6 of them infeasible, take about 1.5 s: one HiGHS solve of
+    # up to 6400 entries and one decomposition each
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(scaled_chain_instances())
+    def test_verdict_solve_and_lottery_agree(self, instance):
+        notion, chain, problem = instance
+        verdict = check_feasibility(problem, notion, *chain)
+        report = solve_problem(problem, multi_group_constraints(problem, notion, chain))
+        assert verdict.feasible == report.optimal
+        if report.optimal:
+            best = report.objective
+            lottery = reconstruct(decompose(report.matrix))
+            assert np.abs(lottery - report.matrix.entries).max() <= _residual_bound(problem.n)
+            assert abs(utility(lottery, problem) - best) <= 1e-9 * abs(best)
+            assert abs(evaluate(report.matrix, problem).dcg - best) <= 1e-9 * abs(best)
 
 
 class TestRankingLotteryOracle:

@@ -195,6 +195,18 @@ class TestSample:
     def test_numpy_integer_count_accepted(self):
         assert sample_indices(two_term_decomposition(0.4), np.int64(3), 1).size == 3
 
+    @pytest.mark.parametrize("rng", [True, False, -1, np.int64(-1), 2.0, "3"])
+    def test_seed_outside_the_integer_rule_rejected(self, rng):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_indices(two_term_decomposition(0.4), 3, rng)
+
+    def test_seed_forms_draw_alike(self):
+        dec = two_term_decomposition(0.4)
+        expected = dec.term_index(np.random.default_rng(5).random(50))
+        for rng in (5, np.int64(5), np.uint8(5), np.random.default_rng(5)):
+            np.testing.assert_array_equal(sample_indices(dec, 50, rng), expected)
+        assert sample_indices(dec, 50, None).size == 50
+
 
 class TestSampleForUser:
     def test_same_key_same_ranking(self):
