@@ -17,6 +17,7 @@ formulas use 1-indexed ranks, converted only inside
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -154,7 +155,7 @@ class RankingProblem:
             )
         ids = [item.id for item in items]
         if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValueError(f"duplicate item ids: {dupes}")
         object.__setattr__(self, "items", items)
         groups: dict = {}

@@ -14,8 +14,15 @@ exactly when some c meets every set's bounds::
 
     max_S bottom(m_S) / U_S  <=  min_S top(m_S) / U_S
 
-over the 2^K − 1 nonempty sets S.  For two groups the singleton bounds,
-divided by the group sizes, give the attainable exposure-ratio range.
+Only 2K of the sets can bind.  Give each item of group k the value
+``c·U_k / m_k``: a set S then gets ``c·U_S``, which lies between the sums
+of the m_S smallest and the m_S largest of these values.  Both sums are
+linear inside each group's block while bottom is convex and top concave,
+so the bounds hold for every S once they hold at the block ends.  With the
+groups ordered by utility per item ``U_k / m_k`` (ties by chain position),
+those are the K ascending prefixes for the maximum and the K descending
+ones for the minimum.  For two groups the singleton bounds, divided by
+the group sizes, give the attainable exposure-ratio range.
 
 Demographic parity and clickthrough-proportionality (disparate impact) are
 always satisfiable: the uniform matrix gives every item exposure
@@ -26,7 +33,6 @@ always satisfiable: the uniform matrix gives every item exposure
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -101,22 +107,22 @@ def _check_dt_feasibility(problem: RankingProblem, groups: tuple[str, ...]) -> F
         raise ValueError("position bias is entirely zero; exposure ratios are undefined")
     indices = [problem.group_indices(g) for g in groups]
     sizes, sums = [idx.size for idx in indices], [float(utilities[idx].sum()) for idx in indices]
-    bounds = []  # (bottom(m_S), top(m_S), U_S, S) for every nonempty S, singletons first
-    for k in range(1, len(groups) + 1):
-        for s in combinations(range(len(groups)), k):
-            m, total = sum(sizes[i] for i in s), sum(sums[i] for i in s)
-            bounds.append((float(v[n - m :].sum()), float(v[:m].sum()), total, s))
-    lo, lo_set = max((bottom / total, s) for bottom, _, total, s in bounds)
-    hi, hi_set = min((top / total, s) for _, top, total, s in bounds)
+    top, bottom = (lambda m: float(v[:m].sum())), (lambda m: float(v[n - m :].sum()))
+    order = sorted(range(len(groups)), key=lambda i: (sums[i] / sizes[i], i))
+
+    def per_utility(bound, s: list) -> tuple:  # (bound(m_S) / U_S, S), S in chain order
+        return bound(sum(sizes[i] for i in s)) / sum(sums[i] for i in s), s
+    lo, lo_set = max(per_utility(bottom, sorted(order[:k])) for k in range(1, len(order) + 1))
+    hi, hi_set = min(per_utility(top, sorted(order[k:])) for k in range(len(order)))
     feasible = lo <= hi * (1.0 + _SLACK)
     required = ratios = None
     if len(groups) == 2:
         # ratios of per-item block means: one group on top, the other at the bottom
-        (m0, m1), ((bottom0, top0, *_), (bottom1, top1, *_)) = sizes, bounds[:2]
-        required = (sums[0] / m0) / (sums[1] / m1)
+        (m0, m1), (u0, u1) = sizes, sums
+        required = (u0 / m0) / (u1 / m1)
         ratios = (
-            (bottom0 / m0) / (top1 / m1),
-            np.inf if bottom1 == 0.0 else (top0 / m0) / (bottom1 / m1),
+            (bottom(m0) / m0) / (top(m1) / m1),
+            np.inf if bottom(m1) == 0.0 else (top(m0) / m0) / (bottom(m1) / m1),
         )
         note = (
             f"required exposure ratio {required:.6g} lies outside "
@@ -146,10 +152,4 @@ def check_feasibility(problem: RankingProblem, notion: str, *groups: str) -> Fea
     multi_group_constraints(problem, notion, groups)
     if notion == "disparate-treatment":
         return _check_dt_feasibility(problem, groups)
-    return FeasibilityVerdict(
-        feasible=True,
-        notion=notion,
-        groups=groups,
-        method="witness",
-        note=_WITNESS_NOTES[notion],
-    )
+    return FeasibilityVerdict(True, notion, groups, "witness", note=_WITNESS_NOTES[notion])

@@ -504,6 +504,14 @@ class TestSample:
         code, _, err = run(["sample", "--count", "5"], stdin_text=parity_decomposition)
         assert code == 0 and err == ""
 
+    def test_unallocatable_count_is_input_error(self, run, parity_decomposition):
+        # 10**17 float64 draws exceed any address space, so numpy refuses at once
+        code, out, err = run(
+            ["sample", "--count", str(10**17)], stdin_text=parity_decomposition
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_user_and_seed_conflict(self, run, parity_decomposition):
         code, _, err = run(
             ["sample", "--user", "alice", "--seed", "3"],
@@ -766,6 +774,28 @@ class TestFeasibility:
         assert payload["feasible"] is False
         assert payload["groups"] == ["A", "B", "C"]
         assert "the least A can get" in payload["note"]
+
+    def test_thirty_group_chain_is_diagnosed(self, run):
+        # every 2^30 - 1 group set would never finish; the prefixes take milliseconds
+        labels = [f"g{k}" for k in range(30)]
+        csv = "id,group,utility\n" + "".join(
+            f"{g}_{j},{g},{0.99 if k == 0 else 0.01 + 0.001 * k}\n"
+            for k, g in enumerate(labels)
+            for j in range(2)
+        )
+        code, out, _ = run(
+            ["feasibility", "--notion", "disparate-treatment", "--groups", ",".join(labels)],
+            stdin_text=csv,
+        )
+        assert code == 2
+        verdict = strict_json(out)
+        assert verdict["feasible"] is False and verdict["groups"] == labels
+        code, out, _ = run(
+            ["solve", "--constraint", "disparate-treatment:" + ",".join(labels)], stdin_text=csv
+        )
+        assert code == 2
+        payload = strict_json(out)
+        assert payload["status"] == "infeasible" and payload["diagnosis"] == [verdict]
 
     def test_parity_uses_witness(self, run, jobseeker_file):
         code, out, _ = run(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -185,6 +188,15 @@ class TestRankingProblem:
         )
         with pytest.raises(ValueError, match="duplicate"):
             RankingProblem(items=items, position_bias=PositionBias.log_discount(2))
+
+    def test_duplicate_ids_reported_in_linear_time(self):
+        items = [Item(id=f"i{k}", group="G", utility=0.5) for k in range(49_999)]
+        items.append(Item(id="i0", group="G", utility=0.5))
+        bias = PositionBias.log_discount(len(items))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape("duplicate item ids: ['i0']")):
+            RankingProblem(items=tuple(items), position_bias=bias)
+        assert time.perf_counter() - start < 2.0
 
     def test_no_items_rejected(self):
         with pytest.raises(ValueError, match="at least one item"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from fairexposure.core import (
     PositionBias,
     RankingProblem,
 )
-from fairexposure.feasibility import check_feasibility
+from fairexposure.feasibility import _REMEDY, _SLACK, check_feasibility
 from fairexposure.lp import solve_problem
 
 from .test_core import make_problem
@@ -310,3 +312,89 @@ class TestOracleEquivalence:
         assert checked == 30
         # the instance mix must exercise both outcomes to mean anything
         assert 0 < solved_feasible < 30
+
+
+def subset_rule(problem: RankingProblem, groups: tuple[str, ...]) -> dict:
+    """The treatment verdict over all 2^K − 1 nonempty sets of the chain's
+    groups, written as ``check_feasibility(...).to_dict()`` writes it: the
+    reference the utility-ordered prefixes must reproduce."""
+    v, n, utilities = problem.bias, problem.n, problem.utilities
+    indices = [problem.group_indices(g) for g in groups]
+    sizes, sums = [idx.size for idx in indices], [float(utilities[idx].sum()) for idx in indices]
+    bounds = []  # (bottom(m_S), top(m_S), U_S, S) for every nonempty S, singletons first
+    for k in range(1, len(groups) + 1):
+        for s in combinations(range(len(groups)), k):
+            m, total = sum(sizes[i] for i in s), sum(sums[i] for i in s)
+            bounds.append((float(v[n - m :].sum()), float(v[:m].sum()), total, s))
+    lo, lo_set = max((bottom / total, s) for bottom, _, total, s in bounds)
+    hi, hi_set = min((top / total, s) for _, top, total, s in bounds)
+    out = {
+        "feasible": lo <= hi * (1.0 + _SLACK),
+        "notion": "disparate-treatment",
+        "groups": list(groups),
+        "method": "closed-form",
+    }
+    if len(groups) == 2:
+        (m0, m1), ((bottom0, top0, *_), (bottom1, top1, *_)) = sizes, bounds[:2]
+        out["required_ratio"] = required = (sums[0] / m0) / (sums[1] / m1)
+        low = (bottom0 / m0) / (top1 / m1)
+        high = np.inf if bottom1 == 0.0 else (top0 / m0) / (bottom1 / m1)
+        out["attainable_range"] = [low, high if np.isfinite(high) else None]
+        note = (
+            f"required exposure ratio {required:.6g} lies outside "
+            f"[{low:.6g}, {high:.6g}]; {_REMEDY.format('neither group')}"
+        )
+    else:
+        lo_groups, hi_groups = (",".join(groups[i] for i in s) for s in (lo_set, hi_set))
+        note = (
+            f"exposure per unit utility cannot be both at least {lo:.6g}, the least "
+            f"{lo_groups} can get (placed at the bottom), and at most {hi:.6g}, the most "
+            f"{hi_groups} can get (placed at the top); {_REMEDY.format('none of the groups')}"
+        )
+    if not out["feasible"]:
+        out["note"] = note
+    return out
+
+
+@st.composite
+def treatment_chains(draw) -> tuple[RankingProblem, tuple[str, ...]]:
+    """A chain of 2-6 groups of 1-4 items each, in random order, among 0-5
+    filler items, with continuous, tied or extreme utilities and log or
+    dcg@k bias."""
+    labels = [f"g{k}" for k in range(draw(st.integers(2, 6)))]
+    groups = [g for g in labels for _ in range(draw(st.integers(1, 4)))]
+    groups = draw(st.permutations(groups + ["filler"] * draw(st.integers(0, 5))))
+    utility = draw(st.sampled_from([
+        st.floats(0.01, 1.0),
+        st.sampled_from([0.25, 0.5, 0.75]),
+        st.sampled_from([1e-6, 1.0]),
+    ]))
+    utilities = tuple(draw(utility) for _ in groups)
+    n = len(groups)
+    if draw(st.booleans()):
+        bias = PositionBias.dcg_at_k(n, k=draw(st.integers(1, n)))
+    else:
+        bias = PositionBias.log_discount(n)
+    problem = make_problem(utilities=utilities, groups=tuple(groups), bias=bias)
+    return problem, tuple(draw(st.permutations(labels)))
+
+
+class TestPrefixRule:
+    """The K utility-ordered prefixes per side decide what all sets decide."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(treatment_chains())
+    def test_matches_subset_rule(self, case):
+        problem, chain = case
+        verdict = check_feasibility(problem, "disparate-treatment", *chain)
+        assert verdict.to_dict() == subset_rule(problem, chain)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(witness_instances())
+    def test_two_group_verdict_agrees_with_its_ratio_fields(self, problem):
+        verdict = check_treatment(problem, "A", "B")
+        required, (low, high) = verdict.required_ratio, verdict.attainable_range
+        if low * (1 + 1e-6) < required < high * (1 - 1e-6):
+            assert verdict.feasible
+        elif required > high * (1 + 1e-6) or required < low * (1 - 1e-6):
+            assert not verdict.feasible
