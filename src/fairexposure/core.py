@@ -78,6 +78,8 @@ class Item:
 
 def _log_discount(n: int, base: Union[str, float]) -> np.ndarray:
     """``v[j] = 1 / log_base(1 + j)`` over the 1-indexed ranks of ``n`` positions."""
+    if not _is_int(n):
+        raise ValueError(f"ranking length n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"ranking length must be positive, got {n}")
     b = _resolve_base(base)
@@ -122,6 +124,8 @@ class PositionBias:
     def dcg_at_k(cls, n: int, k: int, base: Union[str, float] = "natural") -> "PositionBias":
         """The log discount with every entry beyond rank ``k`` zeroed."""
         v = _log_discount(n, base)
+        if not _is_int(k):
+            raise ValueError(f"cutoff k must be an integer, got {k!r}")
         if not 1 <= k <= n:
             raise ValueError(f"cutoff k must satisfy 1 <= k <= {n}, got {k}")
         v[k:] = 0.0

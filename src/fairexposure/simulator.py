@@ -15,8 +15,8 @@ Randomness is counter-based: users are processed in chunks of a fixed
 16384 users, and chunk c draws from an independent Philox stream keyed
 by (seed, c).  The fixed chunk size defines the streams, so a seed gives
 the same bits on every run and platform.  Within a chunk each user
-consumes one fixed block of draws: the term pick, then one examination
-coin per position, then one click coin per position.
+consumes a fixed run of 2N + 1 draws: the term pick, then one
+examination coin per position, then one click coin per position.
 
 The draws are the stream's raw 64-bit words shifted right by 11: the
 53-bit integer k that ``Generator.random`` would turn into the float
@@ -26,26 +26,37 @@ of two is exact), so the coins compare integers with integer thresholds
 and flip exactly as the float comparison would.  Only the term pick
 becomes the float ``k * 2**-53``.
 
-Each chunk is simulated in one pass over all of its users.  Every user's
+Each chunk is simulated in blocks of users whose raw words fit
+``_BLOCK_WORDS`` (2**19 words, 4 MB).  Every block draws its words from
+the chunk's one Philox object, which continues the stream word for word,
+so the block size never enters the bits.  Within a block every user's
 examination and click events are computed at once, the click threshold
 taken from the per-term table ``u[rankings]``.  A stable sort by term
 makes each term's users one contiguous span, in ascending user order.
 Per span, one product of the 0/1 events and the term's position -> group
 one-hot gives each user's exact integer group counts, and the span's
 column sums give the per-position counts, scattered to items with the
-rankings.
+rankings.  A chunk keeps only each user's term and group counts, so the
+working set is one block's plus O(groups) per user of the chunk: it
+grows with the number of groups, not with the number of items.  A whole chunk's words, coins
+and events would take about 25 bytes per user per item (122 MB at
+N=300); with blocks, 20 000 users on 3 groups peak at about 7 MB
+(``tracemalloc``) at N=300 and at N=1000 alike.
 
 Summation order is part of the contract, since it decides the last bits
-of every report.  Counts are integers, so their order is free.  The
-per-user statistics (each group's exposure x and clickthrough y, their
-squares and the pair's cross products) are the rows of one
-(statistic, user) array.  Each term's span is summed with one
-``np.add.reduce`` along the rows' contiguous axis, which rounds every row
-as a 1-D reduce over that row's span would, and the sums are added to
-the running totals in term order.  ``count / |G|`` rounds exactly like a
-mean over the group's positions.  So the reports are bit-identical to a
-per-term loop over users; a reduce across rows, over several spans at
-once, or by ``reduceat`` would change them.
+of every report.  Counts are integers, exact in float32 and float64 under
+any grouping, so their order, and the blocks, are free.  The per-user
+statistics (each group's exposure x and clickthrough y, their squares
+and the pair's cross products) are the rows of one (statistic, user)
+array, built after the chunk's last block from all of its users
+stable-sorted by term, so each term's span holds the chunk's users of
+that term in ascending order whatever the block size.  Each span is
+summed with one ``np.add.reduce`` along the rows' contiguous axis, which
+rounds every row as a 1-D reduce over that row's span would, and the
+sums are added to the running totals in term order.  ``count / |G|``
+rounds exactly like a mean over the group's positions.  So the reports
+are bit-identical to a per-term loop over users; a reduce across rows,
+over several spans at once, or by ``reduceat`` would change them.
 """
 
 from __future__ import annotations
@@ -63,6 +74,9 @@ from .metrics import _utility_ratio
 __all__ = ["GroupSimulation", "SimulationReport", "simulate"]
 
 _CHUNK = 16384
+# raw words drawn at once (4 MB): a chunk is simulated in blocks of users
+# whose words fit this budget, so memory does not grow with the item count
+_BLOCK_WORDS = 2**19
 
 
 @dataclass(frozen=True)
@@ -179,6 +193,13 @@ def _coin_threshold(p: np.ndarray) -> np.ndarray:
     return np.ceil(p * 2.0**53).astype(np.uint64)
 
 
+def _term_spans(terms: np.ndarray, n_terms: int):
+    """The terms present in the sorted ``terms``, and where each one's span starts and stops."""
+    edges = np.searchsorted(terms, np.arange(n_terms + 1))
+    present = np.flatnonzero(edges[1:] > edges[:-1])
+    return present, edges[present], edges[present + 1]
+
+
 def simulate(
     decomposition: BvnDecomposition,
     problem: RankingProblem,
@@ -233,55 +254,70 @@ def simulate(
     totals = np.zeros(n_stats)
 
     draws_per_user = 2 * n + 1
+    block = max(1, _BLOCK_WORDS // draws_per_user)
     n_chunks = (n_users + _CHUNK - 1) // _CHUNK
     for chunk in range(n_chunks):
         count = min(_CHUNK, n_users - chunk * _CHUNK)
         stream = Philox(key=np.array([seed, chunk], dtype=np.uint64))
-        words = stream.random_raw((count, draws_per_user))
-        np.right_shift(words, 11, out=words)  # the 53 bits Generator.random keeps
-        term_of_user = decomposition.term_index(words[:, 0] * 2.0**-53)
-        events = np.empty((count, 2, n), dtype=bool)  # (user, exam/click, position)
-        np.less(words[:, 1 : n + 1], exam_threshold, out=events[:, 0])
-        thresholds = np.take(click_threshold, term_of_user, axis=0)
-        np.less(words[:, n + 1 :], thresholds, out=events[:, 1])
-        events[:, 1] &= events[:, 0]
-        del words, thresholds
+        # each block's users in term order: their terms and exact group
+        # counts (exam counts, then click counts, one column per group)
+        block_terms = np.empty(count, dtype=term_key)
+        counts = np.empty((count, 2 * n_groups), dtype=np.float32)
+        for lo in range(0, count, block):
+            m = min(block, count - lo)
+            # the chunk's stream continues word for word across blocks
+            words = stream.random_raw((m, draws_per_user))
+            np.right_shift(words, 11, out=words)  # the 53 bits Generator.random keeps
+            term_of_user = decomposition.term_index(words[:, 0] * 2.0**-53)
+            events = np.empty((m, 2, n), dtype=bool)  # (user, exam/click, position)
+            np.less(words[:, 1 : n + 1], exam_threshold, out=events[:, 0])
+            thresholds = np.take(click_threshold, term_of_user, axis=0)
+            np.less(words[:, n + 1 :], thresholds, out=events[:, 1])
+            events[:, 1] &= events[:, 0]
+            del words, thresholds
 
-        # each term's users become one contiguous span, in ascending order;
-        # a narrow key lets the stable sort run as a radix sort
-        order = np.argsort(term_of_user.astype(term_key), kind="stable")
-        flags = np.take(events, order, axis=0).astype(np.float32)
-        del events
-        edges = np.searchsorted(term_of_user[order], np.arange(n_terms + 1))
-        present = np.flatnonzero(edges[1:] > edges[:-1])
-        spans = list(zip(edges[present].tolist(), edges[present + 1].tolist()))
-        # exact 0/1 counts per (term, position), scattered to the items
-        position_counts = np.add.reduceat(flags.reshape(count, 2 * n), edges[present], axis=0)
-        shown = rankings[present].ravel()
-        exam_counts += np.bincount(shown, position_counts[:, :n].ravel(), minlength=n)
-        click_counts += np.bincount(shown, position_counts[:, n:].ravel(), minlength=n)
+            # each term's users become one contiguous span, in ascending order;
+            # a narrow key lets the stable sort run as a radix sort
+            order = np.argsort(term_of_user.astype(term_key), kind="stable")
+            flags = np.take(events, order, axis=0).astype(np.float32)
+            del events
+            block_terms[lo : lo + m] = term_of_user[order]
+            present, starts, stops = _term_spans(block_terms[lo : lo + m], n_terms)
+            # exact 0/1 counts per (term, position), scattered to the items
+            position_counts = np.add.reduceat(flags.reshape(m, 2 * n), starts, axis=0)
+            shown = rankings[present].ravel()
+            exam_counts += np.bincount(shown, position_counts[:, :n].ravel(), minlength=n)
+            click_counts += np.bincount(shown, position_counts[:, n:].ravel(), minlength=n)
 
-        # exact group counts of every user: one product per term span, its
-        # users' 0/1 events times the term's position -> group one-hot
-        rows = flags.reshape(2 * count, n)  # exam row, then click row, per user
-        counts = np.empty((2 * count, n_groups), dtype=np.float32)
-        for k, (lo, hi) in zip(present.tolist(), spans):
-            span = slice(2 * lo, 2 * hi)
-            np.matmul(rows[span], group_one_hot[position_group[k]], out=counts[span])
+            # exact group counts of every user: one product per term span, its
+            # users' 0/1 events times the term's position -> group one-hot
+            rows = flags.reshape(2 * m, n)  # exam row, then click row, per user
+            out = counts[lo : lo + m].reshape(2 * m, n_groups)
+            one_hots = group_one_hot[position_group[present]]  # (term, position, group)
+            for one_hot, start, stop in zip(one_hots, starts.tolist(), stops.tolist()):
+                span = slice(2 * start, 2 * stop)
+                np.dot(rows[span], one_hot, out=out[span])
+            # free the block before the next one draws, so its arrays reuse
+            # these pages instead of faulting in new ones
+            del flags, rows, position_counts, one_hots
+
+        # the blocks are in user order and each is in term order, so a stable
+        # sort by term puts the chunk in term order, each span in user order
+        order = np.argsort(block_terms, kind="stable")
+        _, starts, stops = _term_spans(block_terms[order], n_terms)
 
         # x_g = count / |G| rounds like a mean over the group's positions
         stats = np.empty((n_stats, count))
         means, squares = stats[: 2 * n_groups], stats[2 * n_groups : 4 * n_groups]
-        np.true_divide(counts.reshape(count, 2 * n_groups).T, sizes[:, None], out=means)
+        np.true_divide(np.take(counts, order, axis=0).T, sizes[:, None], out=means)
         np.multiply(means, means, out=squares)
         if pair is not None:
             np.multiply(means[pair[0] :: n_groups], means[pair[1] :: n_groups], out=stats[-2:])
         # row by row, a reduce along the contiguous axis rounds like a 1-D one
-        for lo, hi in spans:
-            totals += np.add.reduce(stats[:, lo:hi], axis=1)
-        # free the chunk before the next one draws, so its arrays reuse
-        # these pages instead of faulting in new ones
-        del term_of_user, order, flags, rows, position_counts, counts, stats, means, squares
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            totals += np.add.reduce(stats[:, start:stop], axis=1)
+        # likewise free the chunk before the next one draws
+        del block_terms, counts, order, stats, means, squares
 
     item_exposure = exam_counts / n_users
     item_ctr = click_counts / n_users

@@ -62,6 +62,10 @@ def jobseeker_problem() -> RankingProblem:
 
 @criterion(1)
 def test_criterion_1_unconstrained_objective():
+    # solve_problem imports scipy.optimize on first use, which alone can take
+    # about half a second; import it first so the bound times the solve
+    import scipy.optimize  # noqa: F401
+
     problem = jobseeker_problem()
     start = time.perf_counter()
     report = solve_problem(problem, [])

@@ -78,6 +78,26 @@ class TestPositionBiasVector:
         with pytest.raises(ValueError, match="non-empty vector"):
             PositionBias.explicit([])
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: PositionBias.log_discount(2.5), "ranking length n must be an integer, got 2.5"),
+            (lambda: PositionBias.log_discount(True), "ranking length n must be an integer, got True"),
+            (lambda: PositionBias.dcg_at_k(3.0, k=1), "ranking length n must be an integer, got 3.0"),
+            (lambda: PositionBias.dcg_at_k(5, k=True), "cutoff k must be an integer, got True"),
+            (lambda: PositionBias.dcg_at_k(4, k=2.0), "cutoff k must be an integer, got 2.0"),
+        ],
+        ids=["float-n", "bool-n", "dcg-float-n", "bool-k", "float-k"],
+    )
+    def test_rejects_non_integer_sizes(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_accepts_numpy_integer_sizes(self):
+        assert len(PositionBias.log_discount(np.int64(3))) == 3
+        bias = PositionBias.dcg_at_k(np.int32(4), k=np.uint8(2))
+        np.testing.assert_array_equal(bias.values, PositionBias.dcg_at_k(4, k=2).values)
+
 
 class TestPositionBias:
     def test_rejects_increasing(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
+from fairexposure import simulator
 from fairexposure.bvn import BvnDecomposition, BvnTerm, decompose, term_bound
 from fairexposure.constraints import demographic_parity, disparate_treatment
 from fairexposure.core import PositionBias
 from fairexposure.lp import solve_problem
 from fairexposure.metrics import evaluate
-from fairexposure.simulator import _coin_threshold, simulate
+from fairexposure.simulator import _CHUNK, _coin_threshold, simulate
 
 from .test_core import make_problem
 
@@ -217,6 +220,10 @@ def pin_case(name: str):
     if name == "two-chunks":
         problem = random_problem(rng, ["A", "B", "B", "A", "B", "A", "A", "B"])
         return random_lottery(rng, 8, 40), problem, 16_391, 16, None
+    if name == "large-n":
+        # a chunk's raw words far exceed one block at this N
+        problem = random_problem(rng, rng.choice(["A", "B", "C"], 300).tolist())
+        return random_lottery(rng, 300, 3), problem, 20_000, 17, ("B", "C")
     raise KeyError(name)
 
 
@@ -232,6 +239,7 @@ class TestBitPin:
             ("dcg-tail", "113a38ba227c39501313ae669ade9c10776df3b46ce0b5f9d92ae919479861ee"),
             ("one-user", "9f55e2447cb9c2d61d50fb38ad11649ac1ab2c9bd9004dc311eb9e7b1872fc93"),
             ("two-chunks", "9030ee0566081b26e2d3eaf54d084935cbebe7fa9779bd1bb0c4adbe63a19bef"),
+            ("large-n", "b58dc0356a55062c31a9d28a80e148088a457496261ad7d7b481fe5acebe6351"),
         ],
     )
     def test_report_digest(self, name, digest):
@@ -271,6 +279,48 @@ class TestCrossLayer:
             assert gs.exposure == pytest.approx(report.item_exposure[idx].mean(), rel=1e-12, abs=0)
             assert gs.ctr == pytest.approx(report.item_ctr[idx].mean(), rel=1e-12, abs=0)
         assert report.total_clicks == round(report.item_ctr.sum() * n_users)
+
+
+@st.composite
+def block_budgets(draw):
+    """An audited lottery, sometimes past one chunk, maybe a group pair, and a block budget."""
+    dec, problem, n_users, seed = draw(audited_lotteries())
+    if draw(st.booleans()):
+        n_users = draw(st.integers(_CHUNK + 1, _CHUNK + 500))
+    labels = problem.group_labels
+    pair = None
+    if len(labels) >= 2 and draw(st.booleans()):
+        pair = tuple(draw(st.permutations(labels))[:2])
+    words = (2 * problem.n + 1) * min(n_users, _CHUNK)  # one chunk's raw words
+    # one user per block only where that is few blocks, so the test stays fast
+    budget = draw(st.integers(1 if n_users <= 100 else words // 64, words))
+    return dec, problem, n_users, seed, pair, budget
+
+
+class TestBlocks:
+    """Blocks of users bound the memory and never enter the bits."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(block_budgets())
+    def test_block_budget_never_enters_the_report(self, case):
+        dec, problem, n_users, seed, pair, budget = case
+        digests = set()
+        for words in (budget, 2**40):  # the drawn blocks, then one block per chunk
+            with mock.patch.object(simulator, "_BLOCK_WORDS", words):
+                report = simulate(dec, problem, n_users=n_users, seed=seed, group_pair=pair)
+            digests.add(report_digest(report))
+        assert len(digests) == 1
+
+    def test_peak_memory_does_not_grow_with_items(self):
+        # 300 items, 3 terms, 20 000 users: one whole chunk's words would be 75 MB
+        dec, problem, n_users, seed, pair = pin_case("large-n")
+        tracemalloc.start()
+        try:
+            simulate(dec, problem, n_users=n_users, seed=seed, group_pair=pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestIntegerCoins:
