@@ -193,7 +193,7 @@ def _coin_threshold(p: np.ndarray) -> np.ndarray:
     return np.ceil(p * 2.0**53).astype(np.uint64)
 
 
-def _term_spans(terms: np.ndarray, n_terms: int):
+def _term_spans(terms: np.ndarray, n_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms present in the sorted ``terms``, and where each one's span starts and stops."""
     edges = np.searchsorted(terms, np.arange(n_terms + 1))
     present = np.flatnonzero(edges[1:] > edges[:-1])

@@ -81,9 +81,9 @@ class TestPositionBiasVector:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: PositionBias.log_discount(2.5), "ranking length n must be an integer, got 2.5"),
-            (lambda: PositionBias.log_discount(True), "ranking length n must be an integer, got True"),
-            (lambda: PositionBias.dcg_at_k(3.0, k=1), "ranking length n must be an integer, got 3.0"),
+            (lambda: PositionBias.log_discount(2.5), "length n must be an integer, got 2.5"),
+            (lambda: PositionBias.log_discount(True), "length n must be an integer, got True"),
+            (lambda: PositionBias.dcg_at_k(3.0, k=1), "length n must be an integer, got 3.0"),
             (lambda: PositionBias.dcg_at_k(5, k=True), "cutoff k must be an integer, got True"),
             (lambda: PositionBias.dcg_at_k(4, k=2.0), "cutoff k must be an integer, got 2.0"),
         ],
