@@ -19,6 +19,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -296,8 +297,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             decomposition, args.count, rng=0 if args.seed is None else args.seed
         )
         rankings = [decomposition.terms[k].ranking for k in picks]
-    for ranking in rankings:
-        print(",".join(ids[i] for i in ranking))
+    # quoted as CSV, so an id holding a comma, quote or line break reads back whole
+    csv.writer(sys.stdout, lineterminator="\n").writerows(
+        [ids[i] for i in ranking] for ranking in rankings
+    )
     return EXIT_OK
 
 

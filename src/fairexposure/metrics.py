@@ -19,6 +19,7 @@ unconstrained optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,11 +98,13 @@ def _utility_ratio(
     """``(value0/mean0) / (value1/mean1)``, or None where it is undefined.
 
     Undefined means any of the four is <= 0 (a certified matrix may give a
-    value just below 0); the analytic metrics and the simulator share this rule.
+    value just below 0) or the ratio is beyond the float range; the analytic
+    metrics and the simulator share this rule.
     """
     if mean0 <= 0.0 or mean1 <= 0.0 or value0 <= 0.0 or value1 <= 0.0:
         return None
-    return (value0 / mean0) / (value1 / mean1)
+    ratio = (value0 / mean0) / (value1 / mean1)
+    return ratio if math.isfinite(ratio) else None
 
 
 def evaluate(

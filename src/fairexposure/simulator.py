@@ -46,21 +46,26 @@ N=300); with blocks, 20 000 users on 3 groups peak at about 7 MB
 Summation order is part of the contract, since it decides the last bits
 of every report.  Counts are integers, exact in float32 and float64 under
 any grouping, so their order, and the blocks, are free.  The per-user
-statistics (each group's exposure x and clickthrough y, their squares
-and the pair's cross products) are the rows of one (statistic, user)
-array, built after the chunk's last block from all of its users
-stable-sorted by term, so each term's span holds the chunk's users of
-that term in ascending order whatever the block size.  Each span is
+statistics are the rows of one (statistic, user) array, built after the
+chunk's last block from all of its users stable-sorted by term, so each
+term's span holds the chunk's users of that term in ascending order
+whatever the block size.  Each span is
 summed with one ``np.add.reduce`` along the rows' contiguous axis, which
 rounds every row as a 1-D reduce over that row's span would, and the
 sums are added to the running totals in term order.  ``count / |G|``
 rounds exactly like a mean over the group's positions.  So the reports
 are bit-identical to a per-term loop over users; a reduce across rows,
 over several spans at once, or by ``reduceat`` would change them.
+
+The statistics and the running ``totals`` share one row layout, which the
+report reads: each group's exposure x, then each group's clickthrough y,
+then x², then y², in group order, and with a group pair its products
+x0·x1 and y0·y1, so 4G or 4G + 2 rows for G groups.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,6 +82,9 @@ _CHUNK = 16384
 # raw words drawn at once (4 MB): a chunk is simulated in blocks of users
 # whose words fit this budget, so memory does not grow with the item count
 _BLOCK_WORDS = 2**19
+# raw words one call may draw, n_users * (2N + 1): at the 44-117 M words/s
+# measured across N = 6..300 this is a few minutes, so no call runs unbounded
+_MAX_WORDS = 2**34
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,8 @@ class SimulationReport:
     ``item_exposure[i]`` is the fraction of users who examined item i;
     ``item_ctr[i]`` the fraction who clicked it.  ``dtr``/``dir`` compare
     ``group_pair`` and are None when a denominator vanished (no utility
-    or no exposure/clicks to normalize by).
+    or no exposure/clicks to normalize by) or the ratio is beyond the
+    float range; ``dtr_se``/``dir_se`` are None beyond it too.
     """
 
     n_users: int
@@ -148,40 +157,32 @@ class SimulationReport:
         return out
 
 
-def _mean_and_se(s: float, ss: float, n: int) -> tuple[float, float]:
-    """Mean and standard error from the sums of a per-user value and its square."""
-    mean = s / n
-    var = max(ss / n - mean**2, 0.0)
-    return mean, float(np.sqrt(var / n))
-
-
 def _ratio_with_se(
-    a: tuple[float, float],
-    b: tuple[float, float],
+    means: list[float],
+    variances: list[float],
     cross: float,
     n: int,
     norm0: float,
     norm1: float,
 ) -> tuple[Optional[float], Optional[float]]:
-    """Delta-method estimate of (mean_a/norm0)/(mean_b/norm1).
+    """Delta-method estimate of (means[0]/norm0)/(means[1]/norm1).
 
-    ``a`` and ``b`` are the sums of the per-user values and of their
-    squares; ``cross`` is the sum of the per-user products of a and b.
-    The ratio is None where ``evaluate``'s would be undefined.
+    ``means`` and ``variances`` are the two groups' means and the variances
+    of those means; ``cross`` is the sum of the per-user products of the
+    two.  The ratio is None where ``evaluate``'s would be undefined, the
+    standard error None where it is beyond the float range.
     """
-    m0 = a[0] / n
-    m1 = b[0] / n
+    m0, m1 = means
     ratio = _utility_ratio(m0, norm0, m1, norm1)
     if ratio is None:
         return None, None
     if n < 2:
         return ratio, None
-    var0 = max(a[1] / n - m0 * m0, 0.0) / n
-    var1 = max(b[1] / n - m1 * m1, 0.0) / n
+    var0, var1 = variances
     cov = (cross / n - m0 * m1) / n
     rel_var = var0 / m0**2 + var1 / m1**2 - 2.0 * cov / (m0 * m1)
     se = abs(ratio) * float(np.sqrt(max(rel_var, 0.0)))
-    return ratio, se
+    return ratio, se if math.isfinite(se) else None
 
 
 def _coin_threshold(p: np.ndarray) -> np.ndarray:
@@ -209,7 +210,8 @@ def simulate(
 ) -> SimulationReport:
     """Simulate ``n_users`` examine-then-click sessions.
 
-    ``group_pair`` is settled by :meth:`RankingProblem.group_pair`.
+    ``group_pair`` is settled by :meth:`RankingProblem.group_pair`.  A call
+    may draw at most ``_MAX_WORDS`` (2**34) random words, 2N + 1 per user.
     """
     n = problem.n
     if decomposition.n != n:
@@ -218,6 +220,12 @@ def simulate(
         )
     if not _is_int(n_users) or n_users < 1:
         raise ValueError(f"n_users must be an integer of at least 1, got {n_users!r}")
+    draws_per_user = 2 * n + 1
+    if n_users > _MAX_WORDS // draws_per_user:
+        raise ValueError(
+            f"n_users may be at most {_MAX_WORDS // draws_per_user} for {n} items, "
+            f"so that a call draws at most {_MAX_WORDS} random words; got {n_users}"
+        )
     if not _is_int(seed) or not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
@@ -225,22 +233,19 @@ def simulate(
     group_pair = problem.group_pair(group_pair)
 
     u = problem.utilities
-    v = problem.bias.astype(float)
-    vmax = float(v.max())
+    vmax = float(problem.bias.max())
     scale = 1.0 / vmax if vmax > 1.0 else 1.0
-    v_prob = v * scale
 
     rankings = np.stack([t.ranking for t in decomposition.terms])
     n_terms = len(rankings)
-    exam_threshold = _coin_threshold(v_prob)
+    exam_threshold = _coin_threshold(problem.bias * scale)
     click_threshold = _coin_threshold(u[rankings])  # (term, position)
-    group_idx = {label: problem.group_indices(label) for label in labels}
     n_groups = len(labels)
-    # |G| per row of group means: exposure rows, then clickthrough rows
-    sizes = np.tile([float(group_idx[label].size) for label in labels], 2)
     item_group = np.empty(n, dtype=np.intp)
     for g, label in enumerate(labels):
-        item_group[group_idx[label]] = g
+        item_group[problem.group_indices(label)] = g
+    # |G| per row of group means: exposure rows, then clickthrough rows
+    sizes = np.tile(np.bincount(item_group).astype(float), 2)
     position_group = item_group[rankings]  # (term, position)
     group_one_hot = np.eye(n_groups, dtype=np.float32)
     pair = None if group_pair is None else [labels.index(g) for g in group_pair]
@@ -248,12 +253,10 @@ def simulate(
 
     exam_counts = np.zeros(n)
     click_counts = np.zeros(n)
-    # rows of the per-user statistics: the group means x (exposure) and
-    # y (clickthrough), then their squares, then the pair's two products
+    # the rows of the module docstring: x, y, x², y², the pair's products
     n_stats = 4 * n_groups + (0 if pair is None else 2)
     totals = np.zeros(n_stats)
 
-    draws_per_user = 2 * n + 1
     block = max(1, _BLOCK_WORDS // draws_per_user)
     n_chunks = (n_users + _CHUNK - 1) // _CHUNK
     for chunk in range(n_chunks):
@@ -323,27 +326,23 @@ def simulate(
     item_ctr = click_counts / n_users
     item_exposure_se = np.sqrt(item_exposure * (1.0 - item_exposure) / n_users)
 
-    sums = totals.tolist()
-    exposure_sums = {label: (sums[g], sums[2 * n_groups + g]) for g, label in enumerate(labels)}
-    click_sums = {
-        label: (sums[n_groups + g], sums[3 * n_groups + g]) for g, label in enumerate(labels)
-    }
-    groups = []
-    for label in labels:
-        exposure, exposure_se = _mean_and_se(*exposure_sums[label], n_users)
-        ctr, ctr_se = _mean_and_se(*click_sums[label], n_users)
-        groups.append(GroupSimulation(label, exposure, exposure_se, ctr, ctr_se))
+    # each group's mean and the variance of that mean, exposure rows then clickthrough rows
+    means = totals[: 2 * n_groups] / n_users
+    squares = totals[2 * n_groups : 4 * n_groups] / n_users
+    variances = np.maximum(squares - means * means, 0.0) / n_users
+    exposure, ctr = means.reshape(2, n_groups).tolist()
+    exposure_se, ctr_se = np.sqrt(variances).reshape(2, n_groups).tolist()
+    groups = tuple(map(GroupSimulation, labels, exposure, exposure_se, ctr, ctr_se))
 
     dtr_value = dtr_se = dir_value = dir_se = None
-    if group_pair is not None:
-        g0, g1 = group_pair
-        norm0 = float(u[group_idx[g0]].mean())
-        norm1 = float(u[group_idx[g1]].mean())
-        dtr_value, dtr_se = _ratio_with_se(
-            exposure_sums[g0], exposure_sums[g1], sums[-2], n_users, norm0, norm1
-        )
-        dir_value, dir_se = _ratio_with_se(
-            click_sums[g0], click_sums[g1], sums[-1], n_users, norm0, norm1
+    if pair is not None:
+        norm0, norm1 = (float(u[problem.group_indices(g)].mean()) for g in group_pair)
+        # the exposure rows, then the clickthrough rows, each with the pair's product
+        (dtr_value, dtr_se), (dir_value, dir_se) = (
+            _ratio_with_se(
+                means[rows].tolist(), variances[rows].tolist(), cross, n_users, norm0, norm1
+            )
+            for rows, cross in zip((pair, [g + n_groups for g in pair]), totals[-2:].tolist())
         )
 
     return SimulationReport(

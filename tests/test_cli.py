@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 import fairexposure
+from fairexposure import simulator
 from fairexposure.bvn import BvnDecomposition, BvnTerm
 from fairexposure.cli import main
 from fairexposure.core import (
@@ -32,7 +34,7 @@ from fairexposure.core import (
     utility,
 )
 from fairexposure.datasets import read_items_csv
-from fairexposure.sampler import sample_for_user
+from fairexposure.sampler import sample_for_user, sample_indices
 
 JOBSEEKER_CSV = (
     "id,group,utility\n"
@@ -495,6 +497,33 @@ class TestSample:
         ids = [it["id"] for it in payload["problem"]["items"]]
         assert out == ",".join(ids[i] for i in sample_for_user(dec, b"\xff")) + "\n"
 
+    def test_lines_read_back_as_csv(self, run, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            'id,group,utility\n"x,1",A,0.9\n"y""2",B,0.8\n"z\n3",A,0.7\nw4,B,0.6\n',
+            encoding="utf-8",
+        )
+        code, solution, err = run(["solve", str(path), "--constraint", "demographic-parity:A,B"])
+        assert code == 0, err
+        code, lottery, err = run(["decompose"], stdin_text=solution)
+        assert code == 0, err
+        payload = json.loads(lottery)
+        dec = BvnDecomposition(
+            tuple(BvnTerm(t["theta"], t["ranking"]) for t in payload["terms"]),
+            payload["residual"],
+        )
+        ids = [it["id"] for it in payload["problem"]["items"]]
+        assert ids == ["x,1", 'y"2', "z\n3", "w4"]
+        expected = {
+            "--user": [sample_for_user(dec, b"alice")],
+            "--count": [dec.terms[k].ranking for k in sample_indices(dec, 5, rng=1)],
+        }
+        for flag, args in (("--user", ["alice"]), ("--count", ["5", "--seed", "1"])):
+            code, out, err = run(["sample", flag, *args], stdin_text=lottery)
+            assert code == 0, err
+            rows = list(csv.reader(io.StringIO(out, newline="")))
+            assert rows == [[ids[i] for i in ranking] for ranking in expected[flag]]
+
     def test_closed_stdout_exits_0(self, run, parity_decomposition, monkeypatch):
         class ClosedPipe(io.StringIO):
             def write(self, text):
@@ -885,6 +914,29 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert "Traceback" not in err
         assert "seed must be an integer in [0, 2**64)" in err
+
+    def test_draw_ceiling_rejected(self, run, parity_decomposition, monkeypatch):
+        monkeypatch.setattr(simulator, "Philox", None)  # a rejected call draws nothing
+        code, out, err = run(
+            ["simulate", "--users", str(10**17)], stdin_text=parity_decomposition
+        )
+        assert (code, out) == (1, "")
+        assert f"n_users may be at most {simulator._MAX_WORDS // 13} for 6 items" in err
+
+    def test_ratio_beyond_float_range_is_null(self, run, tmp_path):
+        # A's mean utility is subnormal, so its exposure per unit utility overflows
+        path = tmp_path / "tiny.csv"
+        path.write_text("id,group,utility\na,A,1e-310\nb,B,1.0\n", encoding="utf-8")
+        solution = json.dumps(solve_json(run, str(path)))
+        code, out, err = run(["evaluate"], stdin_text=solution)
+        assert code == 0, err
+        assert strict_json(out)["dtr"] is None
+        code, lottery, err = run(["decompose"], stdin_text=solution)
+        assert code == 0, err
+        code, out, err = run(["simulate", "--users", "1000"], stdin_text=lottery)
+        assert code == 0, err
+        payload = strict_json(out)
+        assert payload["dtr"] is None and payload["dtr_se"] is None
 
     def test_problem_required(self, run, parity_decomposition):
         payload = json.loads(parity_decomposition)

@@ -70,6 +70,30 @@ class TestSimulateBasics:
         with pytest.raises(ValueError, match="decomposition is over"):
             simulate(single_term(range(4)), problem, n_users=1, seed=1)
 
+    def test_draw_ceiling(self, monkeypatch):
+        problem = make_problem()  # 6 items: 13 draws per user
+        most = simulator._MAX_WORDS // 13
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "Philox", None)  # a rejected call draws nothing
+            for n_users in (most + 1, np.int64(10**17)):
+                with pytest.raises(ValueError, match=f"n_users may be at most {most} for 6 items"):
+                    simulate(single_term(range(6)), problem, n_users=n_users, seed=0)
+        # a small ceiling shows the bound itself is allowed
+        monkeypatch.setattr(simulator, "_MAX_WORDS", 13 * 100)
+        assert simulate(single_term(range(6)), problem, n_users=100, seed=0).n_users == 100
+        with pytest.raises(ValueError, match="at most 100 for 6 items"):
+            simulate(single_term(range(6)), problem, n_users=101, seed=0)
+
+    def test_ratio_beyond_float_range_is_undefined(self):
+        # A's mean utility is subnormal, so its exposure per unit utility overflows
+        problem = make_problem(utilities=(1e-310, 1.0), groups=("A", "B"))
+        assert evaluate(np.eye(2), problem).dtr is None
+        report = simulate(single_term([0, 1]), problem, n_users=1000, seed=0)
+        assert report.dtr is None and report.dtr_se is None
+        # a ratio just inside the float range whose standard error is not
+        ratio, se = simulator._ratio_with_se([1e-10, 1.0], [1e-3, 1e-3], 1e-10, 100, 1e-315, 1.0)
+        assert ratio == pytest.approx(1e305) and se is None
+
     def test_same_group_twice_rejected(self):
         with pytest.raises(ValueError, match="the two groups must differ, both are 'M'"):
             simulate(
