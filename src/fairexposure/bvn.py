@@ -41,7 +41,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import TOLERANCE, MatrixLike, _certify, _is_number, as_matrix, as_ranking
+from .core import TOLERANCE, _certify, _is_number, as_ranking
 
 __all__ = ["BvnTerm", "BvnDecomposition", "decompose", "reconstruct", "term_bound"]
 
@@ -182,7 +182,7 @@ class BvnDecomposition:
         return index
 
 
-def decompose(P: MatrixLike) -> BvnDecomposition:
+def decompose(P) -> BvnDecomposition:
     """Decompose ``P`` into a convex combination of permutation matrices.
 
     Every matrix doubly stochastic within ``TOLERANCE`` decomposes into
@@ -193,7 +193,7 @@ def decompose(P: MatrixLike) -> BvnDecomposition:
     come back sorted by weight descending (ties broken by ranking,
     lexicographically).
     """
-    m = np.array(as_matrix(P), dtype=float, order="C")  # a fresh copy
+    m = np.array(P, dtype=float, order="C")  # a fresh copy
     n = m.shape[0]
     _certify(m)
 

@@ -19,7 +19,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -40,7 +39,7 @@ from .core import (
     permutation_matrix,
     prp_ranking,
 )
-from .datasets import read_items_csv
+from .datasets import _csv_writer, read_items_csv
 from .feasibility import check_feasibility
 from .lp import NumericalFailure, build_lp, dump_lp, solve
 from .metrics import evaluate
@@ -298,9 +297,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         )
         rankings = [decomposition.terms[k].ranking for k in picks]
     # quoted as CSV, so an id holding a comma, quote or line break reads back whole
-    csv.writer(sys.stdout, lineterminator="\n").writerows(
-        [ids[i] for i in ranking] for ranking in rankings
-    )
+    _csv_writer(sys.stdout).writerows([ids[i] for i in ranking] for ranking in rankings)
     return EXIT_OK
 
 
@@ -430,6 +427,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry_point() -> None:
+    # items CSVs are UTF-8 whatever the locale, on stdin as from a path
+    for stream in (sys.stdin, sys.stdout):
+        if stream is not None:  # None when the descriptor is closed
+            stream.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

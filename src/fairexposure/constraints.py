@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MatrixLike, RankingProblem, _as_reals, _is_number, as_matrix
+from .core import RankingProblem, _as_reals, _is_number
 
 __all__ = [
     "FairnessConstraint",
@@ -61,11 +61,11 @@ class FairnessConstraint:
     def n(self) -> int:
         return self.f.size
 
-    def value(self, P: MatrixLike) -> float:
+    def value(self, P) -> float:
         """Evaluate ``f @ P @ g``."""
-        return float(self.f @ as_matrix(P) @ self.g)
+        return float(self.f @ np.asarray(P, dtype=float) @ self.g)
 
-    def residual(self, P: MatrixLike) -> float:
+    def residual(self, P) -> float:
         """Violation ``|f @ P @ g - h|`` of the constraint at ``P``."""
         return abs(self.value(P) - self.h)
 

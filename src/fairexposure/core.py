@@ -140,12 +140,15 @@ class PositionBias:
 class RankingProblem:
     """Items plus a position-bias vector of matching length.
 
-    The groups are fixed at construction: each label maps to the read-only
-    indices of its items, labels in order of first appearance.
+    The item arrays are fixed at construction and read-only: ``utilities``,
+    ``item_group`` (each item's group code, labels coded 0, 1, ... in order
+    of first appearance) and each label's item indices.
     """
 
     items: tuple[Item, ...]
     position_bias: PositionBias
+    utilities: np.ndarray = field(init=False, repr=False)
+    item_group: np.ndarray = field(init=False, repr=False)
     _groups: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -161,22 +164,22 @@ class RankingProblem:
         if len(set(ids)) != len(ids):
             dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValueError(f"duplicate item ids: {dupes}")
+        codes: dict = {}  # label -> code, in order of first appearance
+        item_group = np.array([codes.setdefault(it.group, len(codes)) for it in items], np.intp)
+        utilities = np.array([item.utility for item in items])
+        # one stable sort lists each group's indices in item order, read-only views
+        members = np.argsort(item_group, kind="stable")
+        for array in (item_group, utilities, members):
+            array.flags.writeable = False
+        bounds = np.cumsum(np.bincount(item_group))[:-1]
         object.__setattr__(self, "items", items)
-        groups: dict = {}
-        for i, item in enumerate(items):
-            groups.setdefault(item.group, []).append(i)
-        for label, members in groups.items():
-            groups[label] = np.array(members, dtype=int)
-            groups[label].flags.writeable = False
-        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "utilities", utilities)
+        object.__setattr__(self, "item_group", item_group)
+        object.__setattr__(self, "_groups", dict(zip(codes, np.split(members, bounds))))
 
     @property
     def n(self) -> int:
         return len(self.items)
-
-    @property
-    def utilities(self) -> np.ndarray:
-        return np.array([item.utility for item in self.items])
 
     @property
     def bias(self) -> np.ndarray:
@@ -259,6 +262,10 @@ class DoublyStochasticMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The entries, so numpy reads the matrix like any array; a copy is writable."""
+        return np.array(self.entries, dtype=dtype, copy=copy)
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -266,16 +273,6 @@ class DoublyStochasticMatrix:
     @classmethod
     def uniform(cls, n: int) -> "DoublyStochasticMatrix":
         return cls(np.full((n, n), 1.0 / n))
-
-
-MatrixLike = Union[np.ndarray, DoublyStochasticMatrix]
-
-
-def as_matrix(P: MatrixLike) -> np.ndarray:
-    """Coerce a matrix argument to a plain ndarray."""
-    if isinstance(P, DoublyStochasticMatrix):
-        return P.entries
-    return np.asarray(P, dtype=float)
 
 
 def _is_int(x) -> bool:
@@ -340,9 +337,9 @@ def prp_ranking(problem: RankingProblem) -> np.ndarray:
     return np.argsort(-problem.utilities, kind="stable")
 
 
-def utility(P: MatrixLike, problem: RankingProblem) -> float:
+def utility(P, problem: RankingProblem) -> float:
     """Expected utility ``u @ P @ v`` of the probabilistic ranking ``P``."""
-    m = as_matrix(P)
+    m = np.asarray(P, dtype=float)
     if m.shape != (problem.n, problem.n):
         raise ValueError(f"matrix shape {m.shape} does not match problem size {problem.n}")
     return float(problem.utilities @ m @ problem.bias)

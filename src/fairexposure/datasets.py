@@ -20,6 +20,7 @@ import csv
 import io
 from importlib import resources
 from os import PathLike
+from types import SimpleNamespace
 from typing import IO, Iterable, Union
 
 from .core import Item
@@ -85,6 +86,15 @@ def read_items_csv(source: Source) -> tuple[Item, ...]:
     return tuple(items)
 
 
+def _csv_writer(handle: IO[str]):
+    """A ``csv.writer`` on ``handle`` whose rows end in "\\n" and that quotes
+    every field holding a comma, a quote, "\\r" or "\\n"."""
+    # csv quotes the characters of its line terminator: it writes "\r\n",
+    # and each row's "\r\n" becomes "\n" on the way out
+    sink = SimpleNamespace(write=lambda row: handle.write(row[:-2] + "\n"))
+    return csv.writer(sink, lineterminator="\r\n")
+
+
 def write_items_csv(items: Iterable[Item], destination: Source) -> None:
     """Write ``items`` to ``destination`` in the ``id,group,utility`` format.
 
@@ -92,7 +102,7 @@ def write_items_csv(items: Iterable[Item], destination: Source) -> None:
     """
 
     def _write(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = _csv_writer(handle)
         writer.writerow(CSV_HEADER)
         for item in items:
             writer.writerow([item.id, item.group, repr(item.utility)])

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TOLERANCE, MatrixLike, RankingProblem, as_matrix, utility
+from .core import TOLERANCE, RankingProblem, utility
 
 __all__ = ["GroupMetrics", "MetricsReport", "evaluate"]
 
@@ -108,10 +108,10 @@ def _utility_ratio(
 
 
 def evaluate(
-    P: MatrixLike,
+    P,
     problem: RankingProblem,
     group_pair: Optional[tuple[str, str]] = None,
-    reference: Optional[MatrixLike] = None,
+    reference=None,
 ) -> MetricsReport:
     """Compute the full metrics bundle for ``P``.
 
@@ -124,7 +124,7 @@ def evaluate(
     substochastic and ``u·P·v <= (1 + (n+1)δ)·OPT``.  A cost of fairness
     below ``-(n+1)δ·OPT`` therefore means the reference is not the optimum.
     """
-    m = as_matrix(P)
+    m = np.asarray(P, dtype=float)
     dcg = utility(m, problem)
     group_pair = problem.group_pair(group_pair)
     u, v = problem.utilities, problem.bias

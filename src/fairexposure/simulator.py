@@ -241,12 +241,9 @@ def simulate(
     exam_threshold = _coin_threshold(problem.bias * scale)
     click_threshold = _coin_threshold(u[rankings])  # (term, position)
     n_groups = len(labels)
-    item_group = np.empty(n, dtype=np.intp)
-    for g, label in enumerate(labels):
-        item_group[problem.group_indices(label)] = g
     # |G| per row of group means: exposure rows, then clickthrough rows
-    sizes = np.tile(np.bincount(item_group).astype(float), 2)
-    position_group = item_group[rankings]  # (term, position)
+    sizes = np.tile(np.bincount(problem.item_group).astype(float), 2)
+    position_group = problem.item_group[rankings]  # (term, position)
     group_one_hot = np.eye(n_groups, dtype=np.float32)
     pair = None if group_pair is None else [labels.index(g) for g in group_pair]
     term_key = np.min_scalar_type(n_terms - 1)

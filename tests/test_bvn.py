@@ -196,6 +196,20 @@ class TestDecompose:
             assert all(t.theta > 0 for t in result.terms)
             np.testing.assert_allclose(reconstruct(result), P, atol=1e-6)
 
+    def test_matrix_type_entries_and_list_decompose_alike(self):
+        entries = ipf_doubly_stochastic(6, np.random.default_rng(5))
+        P = DoublyStochasticMatrix(entries)
+        expected = decompose(np.array(P))
+        for form in (P, P.entries, P.entries.tolist()):
+            result = decompose(form)
+            assert [t.theta for t in result.terms] == [t.theta for t in expected.terms]
+            assert all(
+                np.array_equal(a.ranking, b.ranking) for a, b in zip(result.terms, expected.terms)
+            )
+            assert result.residual == expected.residual
+        # decompose works on a copy, never on the read-only entries
+        assert np.array_equal(P.entries, entries)
+
     def test_deterministic(self):
         rng = np.random.default_rng(42)
         P = ipf_doubly_stochastic(7, rng)

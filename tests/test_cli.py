@@ -524,6 +524,19 @@ class TestSample:
             rows = list(csv.reader(io.StringIO(out, newline="")))
             assert rows == [[ids[i] for i in ranking] for ranking in expected[flag]]
 
+    def test_carriage_return_id_reads_back(self, run, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_text('id,group,utility\n"a\rb",A,0.9\nc,A,0.5\nd,B,0.7\ne,B,0.3\n', "utf-8")
+        code, solution, err = run(["solve", str(path), "--constraint", "demographic-parity:A,B"])
+        assert code == 0, err
+        code, lottery, err = run(["decompose"], stdin_text=solution)
+        assert code == 0, err
+        code, out, err = run(["sample", "--count", "3", "--seed", "1"], stdin_text=lottery)
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) == 3
+        assert all(sorted(row) == ["a\rb", "c", "d", "e"] for row in rows)
+
     def test_closed_stdout_exits_0(self, run, parity_decomposition, monkeypatch):
         class ClosedPipe(io.StringIO):
             def write(self, text):
@@ -1062,6 +1075,34 @@ class TestImportGuard:
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == "[]"
+
+
+class TestStreamEncoding:
+    def test_stdin_and_stdout_are_utf8_under_any_locale(self, run, tmp_path):
+        """The console script reads and writes UTF-8 whatever ``PYTHONIOENCODING`` says."""
+        items = 'id,group,utility\nd\u00e9j\u00e0,A,0.9\n"a\rb",A,0.5\nd,B,0.7\ne,B,0.3\n'
+        src = str(Path(fairexposure.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "latin-1"}
+
+        def child(args, stdin_bytes):
+            done = subprocess.run(
+                [sys.executable, "-m", "fairexposure.cli", *args],
+                input=stdin_bytes,
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        solution = child(["solve", "-", "--constraint", "demographic-parity:A,B"], items.encode())
+        ids = [it["id"] for it in json.loads(solution)["problem"]["items"]]
+        assert ids == ["d\u00e9j\u00e0", "a\rb", "d", "e"]
+        code, lottery, err = run(["decompose"], stdin_text=solution.decode())
+        assert code == 0, err
+        out = child(["sample", "--count", "2", "--seed", "1"], lottery.encode())
+        rows = list(csv.reader(io.StringIO(out.decode("utf-8"), newline="")))
+        assert len(rows) == 2 and all(sorted(row) == sorted(ids) for row in rows)
 
 
 def _lottery_payload(items):

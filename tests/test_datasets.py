@@ -130,6 +130,13 @@ class TestWriteItemsCsv:
         write_items_csv(items, path)
         assert read_items_csv(path) == items
 
+    def test_carriage_return_id_round_trips(self, tmp_path):
+        items = (Item(id="a\rb", group="A", utility=0.5), Item(id="c", group="B", utility=0.25))
+        path = tmp_path / "cr.csv"
+        write_items_csv(items, path)
+        assert path.read_bytes() == b'id,group,utility\n"a\rb",A,0.5\nc,B,0.25\n'
+        assert read_items_csv(path) == items
+
     def test_stream_output(self):
         buffer = io.StringIO()
         write_items_csv(load_jobseeker(), buffer)
