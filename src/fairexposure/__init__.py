@@ -20,6 +20,10 @@ Typical flow::
     lottery = decompose(report.matrix)
     ranking = sample_for_user(lottery, "user-123")
     metrics = evaluate(report.matrix, problem)
+
+Import rule: scipy and ``numpy.random`` are imported inside the functions
+that solve, match or draw, never at module level, so ``import fairexposure``
+loads neither and only the commands that need them pay for loading them.
 """
 
 from __future__ import annotations

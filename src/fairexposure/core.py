@@ -70,6 +70,9 @@ class Item:
             raise ValueError(f"item id and group must be strings, got {self.id!r}, {self.group!r}")
         if not self.id:
             raise ValueError("empty item id")
+        for name, value in (("id", self.id), ("group", self.group)):
+            if value != value.strip():  # the items CSV strips every field
+                raise ValueError(f"item {name} {value!r} has leading or trailing whitespace")
         if not (_is_number(self.utility) and 0.0 <= self.utility <= 1.0):
             raise ValueError(
                 f"utility of item {self.id!r} must be a number in [0, 1], got {self.utility!r}"

@@ -24,10 +24,7 @@ shared tolerance ``core.TOLERANCE``, the same one every layer accepts.
 Memory grows as N² per fairness row; HiGHS solve time, not assembly,
 limits practical problems to a few hundred items.
 
-Import rule: scipy is imported inside the functions that call it
-(``solve``, ``_rows`` and ``bvn.decompose``), never at module level, so
-that only the ``solve`` and ``decompose`` commands pay for loading it
-(README, "Scale").
+scipy loads inside ``solve`` and ``_rows`` (import rule: package docstring).
 """
 
 from __future__ import annotations

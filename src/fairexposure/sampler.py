@@ -33,8 +33,6 @@ _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-RngLike = Union[np.random.Generator, int, None]
-
 
 def hash_user_key(key: Union[str, bytes, bytearray]) -> int:
     """64-bit hash of a user key under the pinned algorithm above.
@@ -60,7 +58,7 @@ def hash_user_key(key: Union[str, bytes, bytearray]) -> int:
 
 
 def sample_indices(
-    decomposition: BvnDecomposition, count: int, rng: RngLike = None
+    decomposition: BvnDecomposition, count: int, rng: np.random.Generator | int | None = None
 ) -> np.ndarray:
     """Draw ``count`` term indices from one stream (vectorized).
 

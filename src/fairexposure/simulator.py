@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.random import Philox
 
 from .bvn import BvnDecomposition
 from .core import RankingProblem, _is_int
@@ -231,6 +230,7 @@ def simulate(
 
     labels = problem.group_labels
     group_pair = problem.group_pair(group_pair)
+    from numpy.random import Philox
 
     u = problem.utilities
     vmax = float(problem.bias.max())

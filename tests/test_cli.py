@@ -929,7 +929,7 @@ class TestSimulate:
         assert "seed must be an integer in [0, 2**64)" in err
 
     def test_draw_ceiling_rejected(self, run, parity_decomposition, monkeypatch):
-        monkeypatch.setattr(simulator, "Philox", None)  # a rejected call draws nothing
+        monkeypatch.setattr(np.random, "Philox", None)  # a rejected call draws nothing
         code, out, err = run(
             ["simulate", "--users", str(10**17)], stdin_text=parity_decomposition
         )
@@ -1030,30 +1030,56 @@ class TestNewsPipelinePinned:
         assert digests == NEWS_PIPELINE_SHA256
 
 
-# Runs in a fresh interpreter: the commands that neither solve nor
-# decompose, then prints every scipy module they loaded.
+# Runs in a fresh interpreter: prints the numpy.random modules that
+# importing the package and the commands that neither solve, decompose nor
+# draw loaded, then every scipy module that all commands but those two loaded.
 IMPORT_GUARD = """
-import contextlib, io, sys
+import contextlib, io, json, sys
+import numpy
+numpy_own = set(sys.modules)  # numpy < 2 loads numpy.random itself
+
+
+def loaded(package):
+    return sorted(
+        m for m in set(sys.modules) - numpy_own if m == package or m.startswith(package + ".")
+    )
+
+
+def run(commands):
+    for args in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(args)
+        if code != 0:
+            sys.exit(f"{args[0]} exited {code}")
+
+
 import fairexposure
 from fairexposure import cli
 solution, decomposition, items = sys.argv[1:]
-commands = [
-    ["sample", decomposition, "--count", "3", "--seed", "1"],
-    ["sample", decomposition, "--user", "user-1"],
-    ["simulate", decomposition, "--users", "100"],
-    ["evaluate", solution, "--against-optimal"],
-] + [["feasibility", items, "--notion", n, "--groups", "A,B"] for n in sorted(cli.NOTIONS)]
-for args in commands:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(args)
-    if code != 0:
-        sys.exit(f"{args[0]} exited {code}")
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+found = {"import": loaded("numpy.random")}
+run(
+    [
+        ["sample", decomposition, "--user", "user-1"],
+        ["evaluate", solution, "--against-optimal"],
+    ]
+    + [["feasibility", items, "--notion", n, "--groups", "A,B"] for n in sorted(cli.NOTIONS)]
+)
+found["commands"] = loaded("numpy.random")
+run(
+    [
+        ["sample", decomposition, "--count", "3", "--seed", "1"],
+        ["simulate", decomposition, "--users", "100"],
+    ]
+)
+found["scipy"] = loaded("scipy")
+print(json.dumps(found))
 """
 
 
 class TestImportGuard:
     def test_only_solve_and_decompose_load_scipy(self, run, tmp_path):
+        """Only ``solve`` and ``decompose`` load scipy, and only the commands that draw
+        load ``numpy.random``, beyond what ``import numpy`` loads by itself."""
         paths = {name: tmp_path / name for name in ("solution", "decomposition", "items")}
         paths["items"].write_text(NEWS_CSV.read_text("utf-8"), encoding="utf-8")
         code, out, err = run(
@@ -1074,7 +1100,7 @@ class TestImportGuard:
             timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        assert child.stdout.strip() == "[]"
+        assert json.loads(child.stdout) == {"import": [], "commands": [], "scipy": []}
 
 
 class TestStreamEncoding:

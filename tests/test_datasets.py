@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairexposure.core import Item, PositionBias, RankingProblem, utility
 from fairexposure.datasets import (
@@ -123,6 +126,11 @@ class TestReadItemsCsv:
             read_items_csv(io.StringIO("\ufeff\ufeffid,group,utility\na,G,0.5\n"))
 
 
+# commas, quotes, line breaks and non-ASCII text, half of them stripped
+_RAW_FIELD = st.text(alphabet=' a,"\r\n\u00a0\u00e9\u4e2d', max_size=6)
+_FIELD_TEXT = st.one_of(_RAW_FIELD.map(str.strip), _RAW_FIELD)
+
+
 class TestWriteItemsCsv:
     def test_round_trips_exactly(self, tmp_path):
         items = load_synthetic_news()
@@ -136,6 +144,32 @@ class TestWriteItemsCsv:
         write_items_csv(items, path)
         assert path.read_bytes() == b'id,group,utility\n"a\rb",A,0.5\nc,B,0.25\n'
         assert read_items_csv(path) == items
+
+    def test_fields_that_would_read_back_changed_rejected(self):
+        # the reader strips fields, so " a" and "a\u00a0" would both read back as "a"
+        for item_id, group in ((" a", "A"), ("a\u00a0", "B"), ("b", " B"), ("b", "B\n")):
+            with pytest.raises(ValueError, match="leading or trailing whitespace"):
+                Item(id=item_id, group=group, utility=0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_FIELD_TEXT, _FIELD_TEXT),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    def test_every_accepted_item_round_trips(self, fields):
+        """Whatever ``Item`` accepts, ``write_items_csv`` then ``read_items_csv`` returns."""
+        items = []
+        for item_id, group in fields:
+            with contextlib.suppress(ValueError):
+                items.append(Item(id=item_id, group=group, utility=0.5))
+        buffer = io.StringIO()
+        write_items_csv(items, buffer)
+        if items:
+            assert read_items_csv(io.StringIO(buffer.getvalue(), newline="")) == tuple(items)
 
     def test_stream_output(self):
         buffer = io.StringIO()

@@ -9,7 +9,8 @@ shares no code with ``build_lp``, ``solve`` or ``check_feasibility``, so it
 checks all three.  Past the oracle's reach, at N = 20..80, the layers are
 checked against each other instead, and two-group programs at N = 20..100
 are checked against a second oracle, the Lagrangian dual of their one
-fairness row (see :func:`dual_search`).
+fairness row (see :func:`dual_search`), whose reach test also checks
+``check_feasibility``'s treatment verdicts near the boundary.
 """
 
 from __future__ import annotations
@@ -163,6 +164,14 @@ class TestRankingLotteryOracle:
             assert abs(report.objective - best) <= 1e-9 * max(abs(best), 1.0)
 
 
+def row_range(row: FairnessConstraint) -> tuple[float, float]:
+    """The least and the greatest value of ``f·P·g`` over doubly stochastic P
+    for a non-increasing g: ``sort(f)↑·g`` and ``sort(f)↓·g``, by the
+    rearrangement inequality, since P ranges over the lotteries of rankings."""
+    ascending = np.sort(row.f)
+    return float(ascending @ row.g), float(ascending[::-1] @ row.g)
+
+
 def dual_search(problem: RankingProblem, row: FairnessConstraint) -> tuple[float, float]:
     """A lower and an upper bound on the optimum under the one row ``f·P·v = h``.
 
@@ -176,8 +185,8 @@ def dual_search(problem: RankingProblem, row: FairnessConstraint) -> tuple[float
     """
     u, f, v, h = problem.utilities, row.f, row.g, row.h
     assert np.array_equal(v, problem.bias)
-    ascending = np.sort(f)
-    assert ascending @ v < h < ascending[::-1] @ v, "the row is out of reach"
+    least, most = row_range(row)
+    assert least < h < most, "the row is out of reach"
 
     def best_ranking(lam: float) -> tuple[float, float]:
         """The row's excess over h and the gain of the ranking that λ sorts."""
@@ -228,3 +237,59 @@ class TestTwoGroupDualOracle:
         report = solve_problem(problem, [row])
         assert report.optimal
         assert abs(report.objective - lower) <= 1e-9 * abs(lower)
+
+
+def treatment_boundary_instance(seed: int) -> tuple[RankingProblem, bool, float]:
+    """Groups A and B and about 20% filler items Y under log or dcg@k bias,
+    with A's utilities scaled to ``1 ± δ`` times one end of the scale range in
+    which treatment is attainable, for a log-uniform δ in [1e-6, 0.5].
+
+    Scaling A's utilities by s scales A's exposure per unit utility by 1/s,
+    so treatment needs ``bottom(m_A)·U_B / (U_A·top(m_B)) <= s`` (A at the
+    bottom, B at the top) and ``s <= top(m_A)·U_B / (U_A·bottom(m_B))``.
+    Returns the problem, whether s was put inside that end, and δ.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 41))
+    labels = rng.choice(["A", "B", "Y"], size=n, p=[0.4, 0.4, 0.2])
+    labels[:2] = ["A", "B"]
+    utilities = rng.uniform(0.05, 1.0, size=n)
+    a, b = labels == "A", labels == "B"
+    m_a, m_b = int(a.sum()), int(b.sum())
+    if rng.random() < 0.5:
+        # past rank k the bias is zero; keep the larger group's bottom exposure positive
+        bias = PositionBias.dcg_at_k(n, k=int(rng.integers(n - max(m_a, m_b) + 1, n + 1)))
+    else:
+        bias = PositionBias.log_discount(n)
+    v = bias.values
+    top, bottom = (lambda m: v[:m].sum()), (lambda m: v[n - m :].sum())
+    ratio = utilities[b].sum() / utilities[a].sum()
+    ends = []  # (end of the range, the direction that stays inside)
+    if bottom(m_b) > 0.0:
+        ends.append((top(m_a) * ratio / bottom(m_b), -1))
+    if bottom(m_a) > 0.0:
+        ends.append((bottom(m_a) * ratio / top(m_b), +1))
+    end, inward = ends[rng.integers(len(ends))]
+    delta = 10.0 ** rng.uniform(-6.0, np.log10(0.5))
+    inside = bool(rng.random() < 0.5)
+    utilities[a] *= end * (1.0 + delta) ** (inward if inside else -inward)
+    utilities /= max(1.0, utilities.max())
+    problem = make_problem(utilities=utilities.tolist(), groups=labels.tolist(), bias=bias)
+    return problem, inside, delta
+
+
+class TestTreatmentReach:
+    # 400 instances take about 0.15 s (--durations); no HiGHS
+    def test_reach_matches_check_feasibility(self):
+        """The row's reach, ``h`` inside ``[sort(f)↑·v, sort(f)↓·v]``, and the
+        chain rule give the same verdict 1e-6 to 0.5 from the boundary."""
+        near = []  # the verdicts within 1e-4 of the boundary
+        for seed in range(400):
+            problem, inside, delta = treatment_boundary_instance(seed)
+            row = NOTIONS["disparate-treatment"](problem, "A", "B")
+            least, most = row_range(row)
+            assert (least <= row.h <= most) == inside
+            assert check_feasibility(problem, "disparate-treatment", "A", "B").feasible == inside
+            if delta < 1e-4:
+                near.append(inside)
+        assert 20 <= sum(near) <= len(near) - 20

@@ -74,7 +74,7 @@ class TestSimulateBasics:
         problem = make_problem()  # 6 items: 13 draws per user
         most = simulator._MAX_WORDS // 13
         with monkeypatch.context() as patch:
-            patch.setattr(simulator, "Philox", None)  # a rejected call draws nothing
+            patch.setattr(np.random, "Philox", None)  # a rejected call draws nothing
             for n_users in (most + 1, np.int64(10**17)):
                 with pytest.raises(ValueError, match=f"n_users may be at most {most} for 6 items"):
                     simulate(single_term(range(6)), problem, n_users=n_users, seed=0)
