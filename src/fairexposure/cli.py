@@ -220,23 +220,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         for c in multi_group_constraints(problem, notion, groups)
     ]
 
+    # each flag's closed-form verdict decides; HiGHS only finds flags that conflict
+    verdicts = [check_feasibility(problem, notion, *groups) for notion, groups in args.constraint]
     lp = build_lp(problem, constraints)
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as handle:
             handle.write(dump_lp(lp))
 
-    report = solve(lp)
-    if report.status == "infeasible":
-        diagnosis = [
-            check_feasibility(problem, notion, *groups).to_dict()
-            for notion, groups in args.constraint
-        ]
+    report = solve(lp) if all(v.feasible for v in verdicts) else None
+    if report is None or report.status == "infeasible":
         _print_json(
             {
                 "status": "infeasible",
                 "n": problem.n,
                 "constraints": [{"label": c.label} for c in constraints],
-                "diagnosis": diagnosis,
+                "diagnosis": [v.to_dict() for v in verdicts],
             }
         )
         return EXIT_INFEASIBLE

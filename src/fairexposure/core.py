@@ -77,6 +77,8 @@ class Item:
             raise ValueError(
                 f"utility of item {self.id!r} must be a number in [0, 1], got {self.utility!r}"
             )
+        # a Python float, whose repr the items CSV reads back and which json writes
+        object.__setattr__(self, "utility", float(self.utility))
 
 
 def _log_discount(n: int, base: Union[str, float]) -> np.ndarray:

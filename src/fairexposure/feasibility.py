@@ -42,10 +42,8 @@ from .core import RankingProblem
 
 __all__ = ["FeasibilityVerdict", "check_feasibility"]
 
-# Relative slack on the exposure-per-unit-utility bounds.  HiGHS itself turns
-# infeasible past the boundary at a gap between 2.8e-8 and 4.2e-8 for groups
-# of 3 + 3 items (N = 6), but between 9e-10 and 2.7e-9 for 10 + 10 (N = 20),
-# both under log bias, so no fixed slack matches it.
+# Relative slack on the exposure-per-unit-utility bounds: it absorbs the
+# rounding of the bound sums, so that an exact tie is feasible.
 _SLACK = 1e-9
 
 _REMEDY = (

@@ -263,6 +263,24 @@ class TestSolve:
         assert diagnosis["attainable_range"][0] > 0
         assert "lengthen" in diagnosis["note"] or "ranking" in diagnosis["note"]
 
+    def test_conflicting_flags_are_found_by_the_solver(self, run, jobseeker_file):
+        # each flag alone is feasible, but no matrix meets both rows
+        code, out, _ = run(
+            [
+                "solve",
+                jobseeker_file,
+                "--constraint",
+                "demographic-parity:M,F",
+                "--constraint",
+                "disparate-treatment:M,F",
+            ]
+        )
+        assert code == 2
+        payload = strict_json(out)
+        assert payload["status"] == "infeasible"
+        assert [d["feasible"] for d in payload["diagnosis"]] == [True, True]
+        assert [d["method"] for d in payload["diagnosis"]] == ["witness", "closed-form"]
+
     def test_infeasible_chain_gives_one_chain_verdict(self, run):
         code, out, _ = run(
             ["solve", "--constraint", "disparate-treatment:A,B,C"], stdin_text=CHAIN_CSV
@@ -901,6 +919,51 @@ class TestFeasibility:
         assert payload["attainable_range"] == [0.0, None]
 
 
+# Two-group treatment programs around the boundary, by group sizes (A, B,
+# fillers in a third group C at 0.5).  B's items have utility 0.3 and A's
+# 0.3·r_max·(1 + eps), where r_max is the largest attainable exposure
+# ratio of A to B under log bias, so eps is the relative excess past it.
+BOUNDARY_FAMILIES = {
+    "3+3": (3, 3, 0),
+    "10+10": (10, 10, 0),
+    "5+8": (5, 8, 0),
+    "20+20": (20, 20, 0),
+    "30+30": (30, 30, 0),
+    "4+4+4": (4, 4, 4),
+}
+
+
+def boundary_csv(m_a: int, m_b: int, fillers: int, eps: float) -> str:
+    n = m_a + m_b + fillers
+    v = PositionBias.log_discount(n).values
+    r_max = (v[:m_a].sum() / m_a) / (v[n - m_b :].sum() / m_b)
+    rows = (
+        [f"a{i},A,{float(0.3 * r_max * (1 + eps))!r}" for i in range(m_a)]
+        + [f"b{i},B,0.3" for i in range(m_b)]
+        + [f"c{i},C,0.5" for i in range(fillers)]
+    )
+    return "id,group,utility\n" + "".join(row + "\n" for row in rows)
+
+
+class TestTreatmentBoundary:
+    @pytest.mark.parametrize("sizes", BOUNDARY_FAMILIES.values(), ids=list(BOUNDARY_FAMILIES))
+    def test_feasibility_and_solve_agree(self, run, sizes):
+        """HiGHS certifies some programs just past the boundary within TOLERANCE;
+        ``solve`` takes the closed-form verdict, as ``feasibility`` does."""
+        codes = {"feasibility": [], "solve": []}
+        for eps in (-1e-8, 5e-10, 3e-9, 1e-8, 1e-7):
+            text = boundary_csv(*sizes, eps)
+            for command, args in (
+                ("feasibility", ["--notion", "disparate-treatment", "--groups", "A,B"]),
+                ("solve", ["--constraint", "disparate-treatment:A,B"]),
+            ):
+                code, _, err = run([command, "-", *args], stdin_text=text)
+                codes[command].append(code)
+                assert code in (0, 2), err
+        assert codes["solve"] == codes["feasibility"]
+        assert codes["feasibility"][0] == 0 and codes["feasibility"][-1] == 2
+
+
 class TestSimulate:
     def test_report_schema_and_determinism(self, run, parity_decomposition):
         args = ["simulate", "--users", "3000", "--seed", "5"]
@@ -1032,7 +1095,8 @@ class TestNewsPipelinePinned:
 
 # Runs in a fresh interpreter: prints the numpy.random modules that
 # importing the package and the commands that neither solve, decompose nor
-# draw loaded, then every scipy module that all commands but those two loaded.
+# draw loaded, then every scipy module that all commands but those two loaded,
+# and a `solve` whose chain verdict is infeasible.
 IMPORT_GUARD = """
 import contextlib, io, json, sys
 import numpy
@@ -1045,17 +1109,17 @@ def loaded(package):
     )
 
 
-def run(commands):
+def run(commands, expected=0):
     for args in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(args)
-        if code != 0:
+        if code != expected:
             sys.exit(f"{args[0]} exited {code}")
 
 
 import fairexposure
 from fairexposure import cli
-solution, decomposition, items = sys.argv[1:]
+solution, decomposition, items, adversarial = sys.argv[1:]
 found = {"import": loaded("numpy.random")}
 run(
     [
@@ -1071,6 +1135,7 @@ run(
         ["simulate", decomposition, "--users", "100"],
     ]
 )
+run([["solve", adversarial, "--constraint", "disparate-treatment:A,B"]], expected=2)
 found["scipy"] = loaded("scipy")
 print(json.dumps(found))
 """
@@ -1079,9 +1144,12 @@ print(json.dumps(found))
 class TestImportGuard:
     def test_only_solve_and_decompose_load_scipy(self, run, tmp_path):
         """Only ``solve`` and ``decompose`` load scipy, and only the commands that draw
-        load ``numpy.random``, beyond what ``import numpy`` loads by itself."""
-        paths = {name: tmp_path / name for name in ("solution", "decomposition", "items")}
+        load ``numpy.random``, beyond what ``import numpy`` loads by itself.  A
+        ``solve`` that its chain verdict proves infeasible loads no scipy."""
+        names = ("solution", "decomposition", "items", "adversarial")
+        paths = {name: tmp_path / name for name in names}
         paths["items"].write_text(NEWS_CSV.read_text("utf-8"), encoding="utf-8")
+        paths["adversarial"].write_text(ADVERSARIAL_CSV, encoding="utf-8")
         code, out, err = run(
             ["solve", str(paths["items"]), "--constraint", "demographic-parity:A,B"]
         )

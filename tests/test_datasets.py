@@ -40,7 +40,7 @@ def news_recipe() -> tuple[Item, ...]:
     noise = rng.normal(0.0, 0.05, size=25)
     utilities = np.clip(ratings / 5.0 + noise, 0.0, 1.0)
     return tuple(
-        Item(id=f"n{k + 1:02d}", group="A" if k < 15 else "B", utility=float(u))
+        Item(id=f"n{k + 1:02d}", group="A" if k < 15 else "B", utility=u)
         for k, u in enumerate(utilities)
     )
 
@@ -129,6 +129,13 @@ class TestReadItemsCsv:
 # commas, quotes, line breaks and non-ASCII text, half of them stripped
 _RAW_FIELD = st.text(alphabet=' a,"\r\n\u00a0\u00e9\u4e2d', max_size=6)
 _FIELD_TEXT = st.one_of(_RAW_FIELD.map(str.strip), _RAW_FIELD)
+# every kind of number Item accepts: Python floats and ints, numpy scalars
+_UTILITY = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0, 1]),
+    st.floats(0.0, 1.0).map(np.float64),
+    st.floats(0.0, 1.0, width=32).map(np.float32),
+)
 
 
 class TestWriteItemsCsv:
@@ -154,18 +161,18 @@ class TestWriteItemsCsv:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
-            st.tuples(_FIELD_TEXT, _FIELD_TEXT),
+            st.tuples(_FIELD_TEXT, _FIELD_TEXT, _UTILITY),
             min_size=1,
             max_size=4,
-            unique_by=lambda pair: pair[0],
+            unique_by=lambda row: row[0],
         )
     )
     def test_every_accepted_item_round_trips(self, fields):
         """Whatever ``Item`` accepts, ``write_items_csv`` then ``read_items_csv`` returns."""
         items = []
-        for item_id, group in fields:
+        for item_id, group, utility in fields:
             with contextlib.suppress(ValueError):
-                items.append(Item(id=item_id, group=group, utility=0.5))
+                items.append(Item(id=item_id, group=group, utility=utility))
         buffer = io.StringIO()
         write_items_csv(items, buffer)
         if items:
