@@ -42,7 +42,7 @@ from .core import (
 from .datasets import _csv_writer, read_items_csv
 from .feasibility import check_feasibility
 from .lp import NumericalFailure, build_lp, dump_lp, solve
-from .metrics import evaluate
+from .metrics import _json_fields, evaluate
 from .sampler import sample_for_user, sample_indices
 from .simulator import simulate
 
@@ -139,14 +139,8 @@ def _constraint(flag: str) -> tuple[str, list[str]]:
 
 def _problem_to_json(problem: RankingProblem) -> dict:
     return {
-        "items": [
-            {"id": it.id, "group": it.group, "utility": it.utility}
-            for it in problem.items
-        ],
-        "bias": {
-            "kind": problem.position_bias.kind,
-            "values": problem.bias.tolist(),
-        },
+        "items": [_json_fields(item) for item in problem.items],
+        "bias": _json_fields(problem.position_bias),
     }
 
 

@@ -90,14 +90,8 @@ def demographic_parity(
     return FairnessConstraint(f, problem.bias, label=f"demographic-parity:{group_a},{group_b}")
 
 
-def disparate_treatment(
-    problem: RankingProblem, group_a: str, group_b: str
-) -> FairnessConstraint:
-    """Constraint holding iff group exposure is proportional to mean utility.
-
-    Rejects groups with zero mean utility, for which the proportionality
-    target is undefined.
-    """
+def _per_unit_utility(problem: RankingProblem, group_a: str, group_b: str) -> np.ndarray:
+    """The treatment coefficients ``±1 / (|G|·mean_u(G))``, + on ``group_a``'s items."""
     indices = _membership(problem, group_a, group_b)
     utilities = problem.utilities
     f = np.zeros(problem.n)
@@ -109,6 +103,18 @@ def disparate_treatment(
                 f"group {group!r} has zero mean utility"
             )
         f[idx] = sign / (idx.size * mean)
+    return f
+
+
+def disparate_treatment(
+    problem: RankingProblem, group_a: str, group_b: str
+) -> FairnessConstraint:
+    """Constraint holding iff group exposure is proportional to mean utility.
+
+    Rejects groups with zero mean utility, for which the proportionality
+    target is undefined.
+    """
+    f = _per_unit_utility(problem, group_a, group_b)
     return FairnessConstraint(f, problem.bias, label=f"disparate-treatment:{group_a},{group_b}")
 
 
@@ -120,8 +126,7 @@ def disparate_impact(
     Identical to the disparate-treatment coefficients scaled element-wise by
     the item utilities (clicks = exposure times relevance).
     """
-    treatment = disparate_treatment(problem, group_a, group_b)
-    f = treatment.f * problem.utilities
+    f = _per_unit_utility(problem, group_a, group_b) * problem.utilities
     return FairnessConstraint(f, problem.bias, label=f"disparate-impact:{group_a},{group_b}")
 
 

@@ -318,6 +318,9 @@ def as_ranking(ranking: Sequence[int]) -> np.ndarray:
         if r.ndim == 1 and r.size and all(_is_int(x) for x in ranking):
             raise ValueError(f"not a permutation of 0..{r.size - 1}: {list(ranking)}")
         raise ValueError(f"ranking entries must be integers, got {r.tolist()}")
+    # numpy reads a sequence's bools as integers, [0, True] as [0, 1]
+    if r.ndim == 1 and not isinstance(ranking, np.ndarray) and not all(map(_is_int, ranking)):
+        raise ValueError(f"ranking entries must be integers, got {list(ranking)}")
     # checked before the cast, which would wrap a uint64 entry past 2**63
     if r.ndim != 1 or sorted(r.tolist()) != list(range(r.size)):
         raise ValueError(f"not a permutation of 0..{r.size - 1}: {r.tolist()}")

@@ -32,7 +32,7 @@ always satisfiable: the uniform matrix gives every item exposure
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -80,21 +80,16 @@ class FeasibilityVerdict:
     note: str = ""
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "feasible": self.feasible,
-            "notion": self.notion,
-            "groups": list(self.groups),
-            "method": self.method,
-        }
-        if self.required_ratio is not None:
-            out["required_ratio"] = self.required_ratio
-        if self.attainable_range is not None:
-            # JSON has no infinity: an unbounded end is written as null
-            out["attainable_range"] = [
-                x if np.isfinite(x) else None for x in self.attainable_range
-            ]
-        if self.note:
-            out["note"] = self.note
+        """The fields in declaration order, less those left at their default;
+        JSON has no infinity, so an unbounded end of the range is null."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value == f.default:
+                continue
+            if isinstance(value, tuple):
+                value = [x if isinstance(x, str) or np.isfinite(x) else None for x in value]
+            out[f.name] = value
         return out
 
 

@@ -20,7 +20,7 @@ unconstrained optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,25 +71,7 @@ class MetricsReport:
         raise ValueError(f"no metrics for group {label!r}")
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "dcg": self.dcg,
-            "groups": {
-                gm.label: {
-                    "size": gm.size,
-                    "mean_utility": gm.mean_utility,
-                    "exposure": gm.exposure,
-                    "ctr": gm.ctr,
-                }
-                for gm in self.groups
-            },
-        }
-        if self.group_pair is not None:
-            out["group_pair"] = list(self.group_pair)
-            out["dtr"] = self.dtr
-            out["dir"] = self.dir
-        if self.cof is not None:
-            out["cof"] = self.cof
-        return out
+        return _json_fields(self)
 
 
 def _utility_ratio(
@@ -105,6 +87,36 @@ def _utility_ratio(
         return None
     ratio = (value0 / mean0) / (value1 / mean1)
     return ratio if math.isfinite(ratio) else None
+
+
+# a report's fields for its group pair: written, None as null, only when a pair was compared
+_PAIR_FIELDS = frozenset({"group_pair", "dtr", "dir", "dtr_se", "dir_se"})
+
+
+def _json_fields(record) -> dict:
+    """``record``'s fields as JSON values, in declaration order.
+
+    An array or tuple becomes a list, and a tuple of group records a dict
+    keyed by each record's label, the label left out of the record.  The
+    pair's fields appear only when a pair was compared; any other field
+    left None is omitted.  The analytic and the simulated reports, and the
+    items and bias of the CLI's problem, are written by this one rule.
+    """
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name in _PAIR_FIELDS:
+            if record.group_pair is None:
+                continue
+        elif value is None or f.name == "label":
+            continue
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            records = all(map(is_dataclass, value))
+            value = {g.label: _json_fields(g) for g in value} if records else list(value)
+        out[f.name] = value
+    return out
 
 
 def evaluate(

@@ -73,7 +73,7 @@ import numpy as np
 
 from .bvn import BvnDecomposition
 from .core import RankingProblem, _is_int
-from .metrics import _utility_ratio
+from .metrics import _json_fields, _utility_ratio
 
 __all__ = ["GroupSimulation", "SimulationReport", "simulate"]
 
@@ -115,12 +115,12 @@ class SimulationReport:
     item_exposure_se: np.ndarray
     item_ctr: np.ndarray
     groups: tuple[GroupSimulation, ...]
+    total_clicks: int
     group_pair: Optional[tuple[str, str]]
     dtr: Optional[float]
     dtr_se: Optional[float]
     dir: Optional[float]
     dir_se: Optional[float]
-    total_clicks: int
 
     def group(self, label: str) -> GroupSimulation:
         for gs in self.groups:
@@ -129,31 +129,7 @@ class SimulationReport:
         raise ValueError(f"no simulation results for group {label!r}")
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "n_users": self.n_users,
-            "seed": self.seed,
-            "scale": self.scale,
-            "item_exposure": self.item_exposure.tolist(),
-            "item_exposure_se": self.item_exposure_se.tolist(),
-            "item_ctr": self.item_ctr.tolist(),
-            "groups": {
-                gs.label: {
-                    "exposure": gs.exposure,
-                    "exposure_se": gs.exposure_se,
-                    "ctr": gs.ctr,
-                    "ctr_se": gs.ctr_se,
-                }
-                for gs in self.groups
-            },
-            "total_clicks": self.total_clicks,
-        }
-        if self.group_pair is not None:
-            out["group_pair"] = list(self.group_pair)
-            out["dtr"] = self.dtr
-            out["dtr_se"] = self.dtr_se
-            out["dir"] = self.dir
-            out["dir_se"] = self.dir_se
-        return out
+        return _json_fields(self)
 
 
 def _ratio_with_se(
@@ -343,17 +319,17 @@ def simulate(
         )
 
     return SimulationReport(
-        n_users=n_users,
-        seed=seed,
+        n_users=int(n_users),
+        seed=int(seed),
         scale=scale,
         item_exposure=item_exposure,
         item_exposure_se=item_exposure_se,
         item_ctr=item_ctr,
         groups=tuple(groups),
+        total_clicks=int(click_counts.sum()),
         group_pair=group_pair,
         dtr=dtr_value,
         dtr_se=dtr_se,
         dir=dir_value,
         dir_se=dir_se,
-        total_clicks=int(click_counts.sum()),
     )

@@ -81,7 +81,9 @@ class TestBvnTerm:
         term = BvnTerm(theta=theta, ranking=[0, 1])
         assert type(term.theta) is float and term.theta == 1.0
 
-    @pytest.mark.parametrize("ranking", [[0.7, 1.2], [1.0, 0.0], [True, False], [0, [1]]])
+    @pytest.mark.parametrize(
+        "ranking", [[0.7, 1.2], [1.0, 0.0], [True, False], [0, True], [True, 0], [0, [1]]]
+    )
     def test_rejects_non_integer_ranking(self, ranking):
         with pytest.raises(ValueError, match="must be integers"):
             BvnTerm(theta=0.5, ranking=ranking)
@@ -340,7 +342,7 @@ class TestToleranceContract:
         with pytest.raises(ValueError, match="not doubly stochastic"):
             decompose(P)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(nearly_doubly_stochastic())
     def test_perturbed_matrices_decompose(self, P):
         assert_decomposes(P)
@@ -381,7 +383,7 @@ class TestTermBound:
         np.testing.assert_array_equal(result.terms[0].ranking, [0, 1, 2])
         assert result.residual == pytest.approx(4.8e-7, rel=1e-6)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(witness_instances(), st.sampled_from(["demographic-parity", "disparate-impact"]))
     def test_every_solved_matrix_decomposes(self, problem, notion):
         report = solve_problem(problem, [NOTIONS[notion](problem, "A", "B")])
@@ -472,7 +474,7 @@ class TestDenseLotteryPin:
 class TestSolvedPipeline:
     """solve -> decompose -> evaluate -> simulate on degenerate instances."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(witness_instances(), st.sampled_from(["demographic-parity", "disparate-impact"]))
     def test_certified_matrix_evaluates_and_simulates(self, problem, notion):
         report = solve_problem(problem, [NOTIONS[notion](problem, "A", "B")])

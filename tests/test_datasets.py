@@ -158,7 +158,7 @@ class TestWriteItemsCsv:
             with pytest.raises(ValueError, match="leading or trailing whitespace"):
                 Item(id=item_id, group=group, utility=0.5)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         st.lists(
             st.tuples(_FIELD_TEXT, _FIELD_TEXT, _UTILITY),

@@ -285,7 +285,7 @@ def witness_instances(draw) -> RankingProblem:
 class TestWitnessIdentity:
     """The uniform matrix satisfies parity and impact: both rows sum to zero."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(witness_instances(), st.sampled_from(["demographic-parity", "disparate-impact"]))
     def test_uniform_matrix_satisfies_constraint(self, problem, notion):
         constraint = NOTIONS[notion](problem, "A", "B")
@@ -382,14 +382,14 @@ def treatment_chains(draw) -> tuple[RankingProblem, tuple[str, ...]]:
 class TestPrefixRule:
     """The K utility-ordered prefixes per side decide what all sets decide."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120, derandomize=True)
     @given(treatment_chains())
     def test_matches_subset_rule(self, case):
         problem, chain = case
         verdict = check_feasibility(problem, "disparate-treatment", *chain)
         assert verdict.to_dict() == subset_rule(problem, chain)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, derandomize=True)
     @given(witness_instances())
     def test_two_group_verdict_agrees_with_its_ratio_fields(self, problem):
         verdict = check_treatment(problem, "A", "B")

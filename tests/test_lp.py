@@ -334,7 +334,7 @@ class TestItemOrderInvariance:
     P itself is not compared: the optimum need not be unique.
     """
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(reordered_instances())
     def test_status_objective_and_exposures_unchanged(self, instance):
         utilities, groups, labels, bias, notion, order = instance

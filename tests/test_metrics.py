@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fairexposure.bvn import BvnDecomposition, BvnTerm
+from fairexposure.cli import _problem_to_json
 from fairexposure.constraints import (
     demographic_parity,
     disparate_impact,
@@ -12,12 +16,15 @@ from fairexposure.constraints import (
 )
 from fairexposure.core import (
     DoublyStochasticMatrix,
+    Item,
     PositionBias,
     permutation_matrix,
     prp_ranking,
 )
+from fairexposure.feasibility import check_feasibility
 from fairexposure.lp import solve_problem
 from fairexposure.metrics import MetricsReport, evaluate
+from fairexposure.simulator import simulate
 
 from .test_core import make_problem
 
@@ -244,3 +251,65 @@ class TestMetricsReportValidation:
             MetricsReport(
                 dcg=1.0, groups=(), group_pair=("A", "B"), dtr=0.0, dir=1.0, cof=None
             )
+
+
+def field_names(record, omitted=()) -> list:
+    return [f.name for f in dataclasses.fields(record) if f.name not in omitted]
+
+
+PAIR_FIELDS = {"group_pair", "dtr", "dir", "dtr_se", "dir_se"}
+
+
+class TestReportFields:
+    """Each report's JSON keys are its field names in declaration order, less
+    the documented omissions: the pair's fields without a pair, any other
+    field left None (or a verdict's field left at its default), and each
+    group record's label, which keys the record."""
+
+    def assert_groups(self, payload, report):
+        assert list(payload["groups"]) == [g.label for g in report.groups]
+        for record in report.groups:
+            assert list(payload["groups"][record.label]) == field_names(record, {"label"})
+
+    def test_metrics_report(self):
+        two, three = make_problem(), make_problem(groups=("A", "B", "C", "A", "B", "C"))
+        best = permutation_matrix(prp_ranking(two))
+        for report, omitted in (
+            (evaluate(np.eye(6), two, reference=best), set()),
+            (evaluate(np.eye(6), two), {"cof"}),
+            (evaluate(np.eye(6), three), PAIR_FIELDS | {"cof"}),
+        ):
+            payload = report.to_dict()
+            assert list(payload) == field_names(report, omitted)
+            self.assert_groups(payload, report)
+
+    def test_simulation_report(self):
+        lottery = BvnDecomposition((BvnTerm(1.0, np.arange(6)),))
+        for problem, omitted in (
+            (make_problem(), set()),
+            (make_problem(groups=("A", "B", "C", "A", "B", "C")), PAIR_FIELDS),
+        ):
+            report = simulate(lottery, problem, n_users=10, seed=0)
+            payload = report.to_dict()
+            assert list(payload) == field_names(report, omitted)
+            assert payload["item_ctr"] == report.item_ctr.tolist()
+            self.assert_groups(payload, report)
+
+    def test_feasibility_verdict(self):
+        problem = make_problem(utilities=(0.9, 0.9, 0.9, 0.45, 0.45, 0.45))
+        for verdict, omitted in (
+            (check_feasibility(problem, "disparate-treatment", "M", "F"), set()),
+            (check_feasibility(make_problem(), "disparate-treatment", "M", "F"), {"note"}),
+            (
+                check_feasibility(problem, "disparate-impact", "M", "F"),
+                {"required_ratio", "attainable_range"},
+            ),
+        ):
+            assert list(verdict.to_dict()) == field_names(verdict, omitted)
+
+    def test_problem_items_and_bias(self):
+        problem = make_problem()
+        payload = _problem_to_json(problem)
+        assert [list(item) for item in payload["items"]] == [field_names(Item)] * 6
+        assert list(payload["bias"]) == field_names(PositionBias)
+        assert payload["bias"]["values"] == problem.bias.tolist()

@@ -101,7 +101,7 @@ def lookup_cases(draw):
 class TestTermLookupIsSearchsorted:
     """The guide-table and bisect lookups are ``searchsorted(side="left")`` exactly."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(lookup_cases())
     def test_matches_searchsorted(self, case):
         dec, uniform = case

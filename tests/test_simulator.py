@@ -183,6 +183,13 @@ class TestReportShape:
         assert payload["groups"]["M"]["exposure"] > 0
         assert "dtr" in payload and "dir" in payload
 
+    def test_numpy_integer_arguments_are_written_as_python_ints(self):
+        problem, dec = dt_solution()
+        expected = json.dumps(simulate(dec, problem, n_users=100, seed=3).to_dict())
+        for n_users, seed in ((np.int64(100), 3), (100, np.uint64(3))):
+            report = simulate(dec, problem, n_users=n_users, seed=seed)
+            assert json.dumps(report.to_dict()) == expected
+
     def test_unknown_group_lookup_rejected(self):
         problem, dec = dt_solution()
         report = simulate(dec, problem, n_users=10, seed=1)
@@ -292,7 +299,7 @@ def audited_lotteries(draw):
 class TestCrossLayer:
     """Group statistics, item statistics and click totals describe the same users."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(audited_lotteries())
     def test_group_means_are_item_means(self, case):
         dec, problem, n_users, seed = case
@@ -324,7 +331,7 @@ def block_budgets(draw):
 class TestBlocks:
     """Blocks of users bound the memory and never enter the bits."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, derandomize=True)
     @given(block_budgets())
     def test_block_budget_never_enters_the_report(self, case):
         dec, problem, n_users, seed, pair, budget = case
@@ -376,7 +383,7 @@ class TestIntegerCoins:
     def test_threshold_flips_the_float_coin(self, p):
         self.check(p)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(st.floats(0.0, 1.0), st.integers(0, 2**53).map(lambda m: m * 2.0**-53)))
     def test_threshold_flips_the_float_coin_anywhere(self, p):
         self.check(p)
